@@ -8,7 +8,8 @@ config and the results, plus a CSV next to it when the experiment produces a
 curve or a trace.
 
 Exit codes: 0 success, 2 invalid model parameters, 3 a requested certificate
-is invalid, 4 a quadrature failed to converge, 1 any other package error.
+is invalid, 4 a quadrature failed to converge, 5 the adaptive step
+subdivision exploded, 1 any other package error.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .errors import (
     InvalidCertificate,
     InvalidParams,
     QuadratureFail,
+    StepExplosion,
 )
 
 SCHEMA_VERSION = 1
@@ -317,8 +319,9 @@ def cmd_hitting(cfg, args, p, files):
 def cmd_coupling_tail(cfg, args, p, files):
     exp = cfg["experiment"]
     inits = exp.get("inits", [[2.0, 0.5, 1.5, 0.2]])
+    if not inits:
+        raise InvalidParams("coupling-tail needs at least one init in experiment.inits")
     n_paths = int(args.paths or exp.get("n_paths", 4096))
-    M = exp.get("M")
     t_query = exp.get("t_query")
     scale = max(1.0, max(max(row) for row in inits))
     scheme = _resolve_scheme(cfg, p, scale)
@@ -331,7 +334,6 @@ def cmd_coupling_tail(cfg, args, p, files):
             scheme,
             (x0, xt0, y0, yt0),
             args.seed + j,
-            M=float(M) if M is not None else None,
             workers=args.workers,
         )
         entry = {
@@ -394,7 +396,9 @@ def cmd_comparison_audit(cfg, args, p, files):
         init = [M / 2.0, M / 2.0, 1.0, 0.0]
     init = tuple(float(v) for v in init)
     n_paths = int(args.paths or exp.get("n_paths", 2048))
-    scale = max(1.0, *init, 2.0 * M)
+    # the cutoff must resolve jumps at the Zbar equilibrium, which the
+    # dominating process reaches long before the horizon
+    scale = max(1.0, *init, 2.0 * M, 4.0 * ergo.zbar_equilibrium(p, M))
     scheme = _resolve_scheme(cfg, p, scale)
     report = ergo.comparison_audit(
         p,
@@ -498,6 +502,9 @@ def main(argv=None) -> int:
     except QuadratureFail as exc:
         print("quadrature failure: %s" % exc, file=sys.stderr)
         return 4
+    except StepExplosion as exc:
+        print("step explosion: %s" % exc, file=sys.stderr)
+        return 5
     except BranchCoupleError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

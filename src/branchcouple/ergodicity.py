@@ -245,7 +245,6 @@ def coupling_tail(
     inits,
     seed: int,
     *,
-    M: float | None = None,
     workers: int = 1,
     n_grid: int = 64,
 ) -> dict:
@@ -256,7 +255,7 @@ def coupling_tail(
     never met, biasing the curves upward, never downward).
     """
     x0, xt0, y0, yt0 = (np.asarray(v, dtype=float) for v in inits)
-    out = sim.mc_coupled(p, scheme, x0, xt0, y0, yt0, seed, M=M, workers=workers)
+    out = sim.mc_coupled(p, scheme, x0, xt0, y0, yt0, seed, workers=workers)
     est_x = TailEstimate.from_times(out["t_x"], scheme.horizon, n_grid=n_grid)
     est_full = TailEstimate.from_times(out["t_full"], scheme.horizon, n_grid=n_grid)
     n_abort = int(np.sum(np.isfinite(out["abort"])))
@@ -334,6 +333,17 @@ def cir_hitting_sample(
     }
 
 
+def zbar_equilibrium(p: ModelParams, M: float) -> float:
+    """Positive root of the frozen Zbar drift ``(2 k M + a2) z - b2 z^alpha2``
+    (with ``k`` and ``a2`` floored at 0); 1 when ``alpha2 <= 1``."""
+    kpos = max(p.k, 0.0)
+    return (
+        ((2.0 * kpos * M + max(p.a2, 0.0)) / p.b2) ** (1.0 / (p.alpha2 - 1.0))
+        if p.alpha2 > 1
+        else 1.0
+    )
+
+
 def comparison_audit(
     p: ModelParams,
     scheme: SimScheme,
@@ -377,13 +387,7 @@ def comparison_audit(
         high=2.0 * M,
         workers=workers,
     )
-    kpos = max(p.k, 0.0)
-    drift_scale = (
-        ((2.0 * kpos * M + max(p.a2, 0.0)) / p.b2) ** (1.0 / (p.alpha2 - 1.0))
-        if p.alpha2 > 1
-        else 1.0
-    )
-    scale = max(1.0, y0, drift_scale)
+    scale = max(1.0, y0, zbar_equilibrium(p, M))
     tol = 3.0 * math.sqrt(2.0 * p.sigma2 * scheme.dt * scale) + 2.0 * scheme.meet_tol
     report = {"tol": tol, "n": n_paths, "scale": scale}
     for key, name in (
@@ -500,7 +504,6 @@ def localize_report(
         scheme,
         (np.full(n_paths, M), np.zeros(n_paths), np.full(n_paths, M), np.zeros(n_paths)),
         seed + 1,
-        M=M,
         workers=workers,
     )
     t_cpl = scheme.horizon / 2.0
@@ -516,7 +519,6 @@ def localize_report(
             np.zeros(n_paths),
         ),
         seed + 2,
-        M=M,
         workers=workers,
     )
     p_far, _, p_far_hi = ct_far["t_full"].survival_at(t_ret + t_cpl)

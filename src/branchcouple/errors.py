@@ -43,3 +43,7 @@ class DegenerateFit(BranchCoupleError):
 
 class InsufficientPaths(BranchCoupleError):
     """Not enough uncensored paths to estimate the requested tail."""
+
+
+class StepExplosion(BranchCoupleError, RuntimeError):
+    """The adaptive step subdivision needed more substeps than allowed."""

@@ -138,13 +138,6 @@ class StableLike:
         if self.truncation is not None and not (self.truncation > 0):
             raise InvalidParams("stable-like truncation must be > 0 or None")
 
-    def density(self, xi):
-        xi = _as_array(xi)
-        out = np.where(xi > 0, self.c * xi ** (-1.0 - self.theta), 0.0)
-        if self.truncation is not None:
-            out = np.where(xi < self.truncation, out, 0.0)
-        return out if out.ndim else float(out)
-
     def truncated_second_moment(self, x):
         x = _as_array(x)
         eff = x if self.truncation is None else np.minimum(x, self.truncation)

@@ -1,23 +1,28 @@
 """Path engines for the system, its coupling, and comparison processes.
 
-All engines share one stepping scheme: Euler drift, branching diffusion
-``sqrt(2 sigma * state * h) * G``, thinned jumps above ``jump_cutoff`` (at
-most one per channel per substep, probability ``rate * h``), the compensator
-of the thinned jumps subtracted as drift, and the sub-cutoff jumps either
-dropped (their compensated integral has mean zero) or replaced by a Gaussian
-with the matching variance ``state * int_0^eps xi^2 n(dxi)``.  States clamp
-at 0 after each substep.  Steps subdivide automatically whenever the jump
-rate or the drift stiffness at the current batch maximum would make a single
-step too coarse.
+All engines share one stepping scheme, written once in ``_loop``: Euler
+drift, branching diffusion ``sqrt(2 sigma * state * h) * G``, thinned jumps
+above ``jump_cutoff``, the compensator of the thinned jumps subtracted as
+drift, and the sub-cutoff jumps either dropped (their compensated integral
+has mean zero) or replaced by a Gaussian with the matching variance
+``state * int_0^eps xi^2 n(dxi)``.  States clamp at 0 after each substep.
+Steps subdivide automatically whenever the jump rate or the drift stiffness
+at the current batch maximum would make a single step too coarse.
 
-Shared noise across coupled components is realized as a white-noise sheet in
-the mass coordinate: components at levels ``u`` and ``v`` receive common
-Gaussian mass below ``min(u, v)`` and independent mass on the difference,
-reproducing the overlap coupling of the generator.  The same sheet carries
-the jump marks: a mark at height ``pos`` hits every consumer whose level
-reaches it.  The one-dimensional comparison processes consume the sheet in
-the difference frame (levels measured above the smaller component), which is
-the pairing that keeps the pathwise dominations testable.
+Noise is a white-noise sheet in the mass coordinate.  The consumers of one
+sheet split the mass axis at their sorted levels; each gap between
+consecutive levels carries its own Gaussian and its own thinned jump (at
+most one per gap and substep, with probability ``gap * rate * h``), and a
+consumer receives the sum over the gaps below its level.  Components at
+levels ``u`` and ``v`` thus share the noise below ``min(u, v)`` and receive
+independent noise on the difference, which is the overlap coupling of the
+generator, and a jump in a gap hits every consumer above it.  The system
+runs two one-consumer sheets and the coupled pair two two-consumer sheets.
+The one-dimensional comparison processes consume the second component's
+noise in the difference frame (levels measured above the smaller
+component): a base sheet at ``Yt`` feeds both ``Y`` and ``Yt``, and a
+three-consumer sheet at ``(Y - Yt, Z, Zbar)`` feeds ``Y``, ``Z`` and
+``Zbar``.  That pairing keeps the pathwise dominations testable.
 
 A coupled pair glues when its difference either falls below ``meet_tol`` or
 changes sign within one substep (a sign change means the continuous paths
@@ -33,13 +38,12 @@ substep whatever the events, so paths inside a batch never desynchronize.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 
 import numpy as np
 
-from .errors import InvalidParams
+from .errors import InvalidParams, StepExplosion
 from .levy import LevyMeasure, ZeroMeasure, suggest_cutoff
 from .model import ModelParams
 
@@ -52,7 +56,6 @@ _TAG_SYSTEM = 1_000_000
 _TAG_COUPLED = 2_000_000
 _TAG_ZBAR = 3_000_000
 _TAG_CIR = 4_000_000
-_TAG_ZDRIVER = 5_000_000
 
 
 def stream(seed: int, tag: int = 0) -> np.random.Generator:
@@ -159,9 +162,12 @@ class _Channel:
     tlm: float  # compensator of the thinned jumps per unit state
     ar_var: float  # variance of the sub-cutoff Gaussian per unit state
     eps: float
+    jumps: bool = True  # draws the (fire, size) uniforms of each gap
 
     @staticmethod
-    def build(sigma: float, measure: LevyMeasure, scheme: SimScheme) -> "_Channel":
+    def build(
+        sigma: float, measure: LevyMeasure, scheme: SimScheme, jumps: bool = True
+    ) -> "_Channel":
         eps = scheme.jump_cutoff
         lam = float(measure.tail_mass(eps))
         tlm = float(measure.tail_linear_moment(eps))
@@ -171,7 +177,8 @@ class _Channel:
             else 0.0
         )
         return _Channel(
-            sigma=float(sigma), measure=measure, lam=lam, tlm=tlm, ar_var=ar, eps=eps
+            sigma=float(sigma), measure=measure, lam=lam, tlm=tlm, ar_var=ar, eps=eps,
+            jumps=jumps,
         )
 
     def sizes(self, u: np.ndarray) -> np.ndarray:
@@ -249,7 +256,7 @@ def trace_rows(grid: PathGrid):
 
 
 # ---------------------------------------------------------------------------
-# batched engine cores
+# noise sheet and batch loop
 
 
 def _substeps(dt: float, jump_rate: float, stiff_rate: float) -> int:
@@ -260,718 +267,580 @@ def _substeps(dt: float, jump_rate: float, stiff_rate: float) -> int:
     )
     n = int(math.ceil(need))
     if n > _MAX_SUBSTEPS:
-        raise RuntimeError(
+        raise StepExplosion(
             "step subdivision exploded (n=%d); increase jump_cutoff or reduce "
             "dt / state_cap" % n
         )
     return n
 
 
-def _jump_arrays(ch: _Channel, level: np.ndarray, h: float, rng) -> np.ndarray:
-    """Thinned jump increments for single consumers at the given levels.
+def _sheet(ch: _Channel, levels: np.ndarray, h: float, rng) -> tuple:
+    """Gaussian and jump increments of ``c`` consumers of one noise sheet.
 
-    Draws a fixed pair of uniform arrays whether or not anything fires.
+    ``levels`` has shape ``(c, n)``.  Each gap between consecutive sorted
+    levels carries its own Gaussian (diffusion plus the sub-cutoff part) and
+    its own thinned jump; a consumer receives the cumulative sum of the gaps
+    up to its level, so consumers at equal levels receive equal increments.
+    The Gaussians are drawn as ``(c, n)`` blocks, then a (fire, size) pair
+    of uniform arrays per gap whether or not anything fires.  Returns the
+    Gaussian and the jump increments, both of shape ``(c, n)``.
     """
-    n = level.shape[0]
-    uf = rng.random(n)
-    us = rng.random(n)
-    if ch.lam <= 0.0:
-        return np.zeros(n)
-    fire = uf < level * ch.lam * h
-    if not np.any(fire):
-        return np.zeros(n)
-    sizes = ch.sizes(us)
-    return np.where(fire, sizes, 0.0)
-
-
-def _gauss(ch: _Channel, level: np.ndarray, h: float, rng) -> np.ndarray:
-    """Diffusion plus (optionally) small-jump Gaussian for single consumers."""
-    n = level.shape[0]
-    g = rng.standard_normal(n)
-    out = np.sqrt(2.0 * ch.sigma * level * h) * g
+    c, n = levels.shape
+    gaps, rank = levels, None
+    if c == 2:
+        lo = np.minimum(levels[0], levels[1])
+        gaps = np.stack([lo, np.maximum(levels[0], levels[1]) - lo])
+        rank = np.stack([levels[1] < levels[0], levels[0] < levels[1]])
+    elif c > 2:
+        srt = levels.copy()  # sorting network over the rows, elementwise
+        for i in range(1, c):
+            for j in range(i, 0, -1):
+                lo = np.minimum(srt[j - 1], srt[j])
+                np.maximum(srt[j - 1], srt[j], out=srt[j])
+                srt[j - 1] = lo
+        gaps = srt.copy()
+        gaps[1:] -= srt[:-1]
+        # a consumer's rank is the number of consumers strictly below it;
+        # as a flat index into the (c, n) gap sums
+        rank = sum((levels > lv).astype(np.intp) for lv in levels) * n + np.arange(n)
+    gauss = np.sqrt(2.0 * ch.sigma * gaps * h) * rng.standard_normal((c, n))
     if ch.ar_var > 0.0:
-        gar = rng.standard_normal(n)
-        out = out + np.sqrt(ch.ar_var * level * h) * gar
-    return out
+        gauss = gauss + np.sqrt(ch.ar_var * gaps * h) * rng.standard_normal((c, n))
+    jumps = np.zeros((c, n))
+    for i in range(c if ch.jumps else 0):
+        fire = rng.random(n) < gaps[i] * ch.lam * h
+        u = rng.random(n)
+        if np.any(fire):
+            jumps[i, fire] = ch.sizes(u[fire])
+    return _below(gauss, rank), _below(jumps, rank)
 
 
-def _system_task(
-    p: ModelParams,
-    scheme: SimScheme,
-    truncation: float | None,
-    x_only: bool,
-    low: float | None,
-    high: float | None,
-    retire: str | None,
-    record: bool,
-    dynkin: tuple | None,
-    x0: np.ndarray,
-    y0: np.ndarray,
-    rng: np.random.Generator,
-) -> dict:
-    """One batch of independent (X, Y) paths.
+def _below(noise: np.ndarray, rank) -> np.ndarray:
+    """Per-consumer sums of the gap noise up to each consumer's rank."""
+    if rank is None:
+        return noise
+    if rank.dtype == bool:
+        return np.where(rank, noise[0] + noise[1], noise[0])
+    cums = noise.copy()  # row by row: np.cumsum along the short axis is slow
+    for i in range(1, len(cums)):
+        cums[i] += cums[i - 1]
+    return cums.ravel()[rank]
+
+
+class _Batch:
+    """One batch of paths: states, noise sheets, drift, step sizing, rules.
+
+    ``S`` holds one row per component.  A sheet is ``(channel, levels,
+    rows)``: its consumers sit at ``levels(S)`` (shape ``(c, n)``) and feed
+    the component rows ``rows``, one row per consumer or every row from a
+    single consumer.  ``drift(S, k)`` returns one row per component at step
+    ``k``; ``rates(top, k)`` returns the jump rate and the drift stiffness
+    from the per-component maxima over live paths.  ``finals`` names the
+    outputs holding the final state of a row.
+    """
+
+    ov = None  # projection overshoots of the comparison processes
+
+    def __init__(
+        self, scheme, S, tlm, sheets, drift, rates, rules,
+        *, record=False, compact=True, finals=(),
+    ):
+        self.scheme, self.S = scheme, S
+        self.tlm = np.asarray(tlm, dtype=float)[:, None]  # thinned-jump compensators
+        self.sheets, self.drift, self.rates, self.rules = sheets, drift, rates, rules
+        self.record, self.compact, self.finals = record, compact, finals
+        self.n = S.shape[1]
+        self.alive = np.ones(self.n, dtype=bool)
+        self.idx = np.arange(self.n)  # slot of each working path
+        self.out: dict = {}
+        self.events: list[PathEvent] = []
+
+    def at(self, full: np.ndarray) -> np.ndarray:
+        """Entries of a full-size output at the working paths."""
+        return full if self.idx.size == self.n else full[self.idx]
+
+    def final(self, row: int) -> np.ndarray:
+        full = np.full(self.n, np.nan)
+        full[self.idx] = self.S[row]
+        return full
+
+
+def _loop(b: _Batch, rng: np.random.Generator) -> dict:
+    """Runs a batch to the horizon: substep sizing, the clamped Euler update
+    of every component, the stopping rules, cap abort, recording and
+    compaction.  During a substep ``b.was`` holds the paths live at its
+    start, ``b.pre`` the states before the update and ``b.jumps`` the jump
+    increments of each sheet."""
+    dt, m, cap = b.scheme.dt, b.scheme.n_steps, b.scheme.state_cap
+    b.rng, b.was, b.pre = rng, b.alive, b.S
+    abort = b.out["abort"] = np.full(b.n, np.inf)
+    for rule in b.rules:
+        rule.start(b)
+    if b.record:
+        rec = np.full((m + 1, b.n, b.S.shape[0]), np.nan)
+        rec[0] = b.S.T
+    for k in range(m):
+        if b.S.shape[1] == 0 or not np.any(b.alive):
+            break
+        top = [float(np.max(row[b.alive], initial=0.0)) for row in b.S]
+        nsub = _substeps(dt, *b.rates(top, k))
+        h = dt / nsub
+        for j in range(nsub):
+            t = k * dt + (j + 1) * h
+            S, b.was, b.jumps = b.S, b.alive.copy(), []
+            new = S + b.drift(S, k) * h
+            for ch, levels, rows in b.sheets:
+                g, jumps = _sheet(ch, levels(S), h, rng)
+                new[rows] += g
+                new[rows] += jumps
+                b.jumps.append(jumps)
+            new -= S * b.tlm * h
+            b.pre, b.S = S, np.where(b.was, np.maximum(new, 0.0, out=new), S)
+            for rule in b.rules:
+                rule.sub(b, t, h)
+            # over the paths live at the substep start, like the rules, so a
+            # path a rule stopped in this substep still records its abort
+            over = b.was & (b.S.max(axis=0) >= cap)
+            if np.any(over):
+                abort[b.idx[over]] = t
+                b.alive &= ~over
+                if b.record:
+                    b.events.append(PathEvent(t, "cap_abort", {}))
+        for rule in b.rules:
+            rule.step(b, k)
+        if b.record:
+            rec[k + 1] = b.S.T
+        elif b.compact and k % 64 == 63 and np.mean(b.alive) < 0.5:
+            b.S, b.idx = b.S[:, b.alive], b.idx[b.alive]
+            b.alive = np.ones(b.idx.size, dtype=bool)
+    for rule in b.rules:
+        rule.finish(b)
+    for key, row in b.finals:
+        b.out[key] = b.final(row)
+    if b.record:
+        b.out["rec"], b.out["events"] = rec, b.events
+    return b.out
+
+
+# ---------------------------------------------------------------------------
+# stopping rules
+
+
+class _Rule:
+    """A stopping rule; the loop calls the hooks of its rules in list order.
+
+    Rules test the paths live at the start of the substep (``b.was``) and
+    stop paths in ``b.alive``, so a rule that stops a path does not hide it
+    from the rules after it.  A rule with a ``key`` keeps one stopping time
+    per path under ``b.out[key]``; ``inf`` means not stopped.
+    """
+
+    key = None
+
+    def start(self, b):
+        if self.key:
+            self.t = b.out[self.key] = np.full(b.n, np.inf)
+
+    def sub(self, b, t, h):
+        pass
+
+    def step(self, b, k):
+        pass
+
+    def finish(self, b):
+        pass
+
+    def mark(self, b, hit, t):
+        """Records ``t`` for the live paths in ``hit`` not stopped before."""
+        hit = hit & b.was & np.isinf(b.at(self.t))
+        self.t[b.idx[hit]] = t
+        return hit
+
+
+class _Cross(_Rule):
+    """First passage of ``watch(S)`` to ``level`` from below (``up``) or
+    above; with ``retire`` a path stops once it has passed."""
+
+    def __init__(self, key, level, up, watch=lambda S: S[0], retire=False):
+        self.key, self.level, self.up, self.watch = key, level, up, watch
+        self.retire = retire
+
+    def start(self, b):
+        super().start(b)
+        self._pass(b, 0.0)
+
+    def _pass(self, b, t):
+        if self.level is not None:
+            w = self.watch(b.S)
+            self.mark(b, w >= self.level if self.up else w <= self.level, t)
+
+    def sub(self, b, t, h):
+        self._pass(b, t)
+        if self.retire:
+            b.alive &= ~np.isfinite(b.at(self.t))
+
+
+class _Glue(_Rule):
+    """Glues rows ``a`` and ``c`` on a tolerance hit or a sign change within
+    a substep; a glued ``c`` follows ``a``.  A pair glues only once the glue
+    ``after`` holds; with ``retire`` a glued path stops at the end of a step.
+    """
+
+    def __init__(self, a, c, key, pair, after=None, retire=False):
+        self.a, self.c, self.key, self.pair = a, c, key, pair
+        self.after, self.retire = after, retire
+
+    def start(self, b):
+        super().start(b)
+        self._glue(b, np.abs(b.S[self.a] - b.S[self.c]) <= b.scheme.meet_tol, 0.0)
+
+    def sub(self, b, t, h):
+        d_pre = b.pre[self.a] - b.pre[self.c]
+        d_new = b.S[self.a] - b.S[self.c]
+        tol = b.scheme.meet_tol
+        meet = (np.abs(d_new) <= tol) | (d_pre * d_new < 0.0) | (d_new == 0.0)
+        if np.any(self._glue(b, meet, t)) and b.record:
+            b.events.append(PathEvent(t, "glue", {"pair": self.pair}))
+
+    def _glue(self, b, meet, t):
+        if self.after:
+            meet &= np.isfinite(b.at(self.after.t))
+        meet = self.mark(b, meet, t)
+        np.copyto(b.S[self.c], b.S[self.a], where=np.isfinite(b.at(self.t)))
+        return meet
+
+    def step(self, b, k):
+        if self.retire:
+            b.alive &= ~np.isfinite(b.at(self.t))
+
+
+class _Absorb(_Rule):
+    """Absorption of row ``row`` at ``meet_tol``: the time is recorded and
+    the state set to 0; with ``kill`` the path stops there."""
+
+    def __init__(self, row, key, kill):
+        self.row, self.key, self.kill = row, key, kill
+
+    def start(self, b):
+        super().start(b)
+        self.sub(b, 0.0, 0.0)
+
+    def sub(self, b, t, h):
+        z = b.S[self.row]
+        low = z <= b.scheme.meet_tol
+        done = self.mark(b, low, t)
+        z[low] = 0.0
+        if self.kill:
+            b.alive &= ~done
+
+
+class _Bridge(_Rule):
+    """Passage below ``level`` of a branching diffusion with coefficient
+    ``sigma``: interpolated within the substep when the path ends below,
+    else set at mid-substep with the Brownian-bridge crossing probability."""
+
+    key = "hitting"
+
+    def __init__(self, level, sigma):
+        self.level, self.sigma = level, sigma
+
+    def start(self, b):
+        super().start(b)
+        below = b.S[0] <= self.level
+        self.t[below] = 0.0
+        b.alive &= ~below
+
+    def sub(self, b, t, h):
+        u = b.rng.random(b.S.shape[1])
+        z, new, lv = b.pre[0], b.S[0], self.level
+        was = b.was & np.isinf(b.at(self.t))
+        crossed = was & (new <= lv)
+        if np.any(crossed):
+            zc, nc = z[crossed], new[crossed]
+            frac = np.clip((zc - lv) / np.maximum(zc - nc, 1e-300), 0.0, 1.0)
+            self.t[b.idx[crossed]] = t - h + frac * h
+        above = was & (new > lv)
+        if np.any(above):
+            za, na = z[above], new[above]
+            vbar = self.sigma * (za + na)  # 2*sigma*mean
+            expo = -2.0 * (za - lv) * (na - lv) / np.maximum(vbar * h, 1e-300)
+            bridge = above.copy()
+            bridge[above] = u[above] < np.exp(expo)
+            self.t[b.idx[bridge]] = t - 0.5 * h
+        b.alive &= np.isinf(b.at(self.t))
+
+
+class _Dynkin(_Rule):
+    """Tabulated generator of ``x^2 + y^2`` integrated along the path and
+    frozen at the exit of ``[0, x_hi] x [0, y_hi]``; ``dynkin_fT`` holds
+    ``x^2 + y^2`` at the exit or, for paths that stay inside, the horizon."""
+
+    def __init__(self, xn, av, yn, bv, kcoef, x_hi, y_hi):
+        self.tab = (xn, av, yn, bv, kcoef)
+        self.x_hi, self.y_hi = x_hi, y_hi
+
+    def start(self, b):
+        self.acc = b.out["dynkin_acc"] = np.zeros(b.n)
+        self.ft = b.out["dynkin_fT"] = np.full(b.n, np.nan)
+        self._exit(b)
+
+    def _exit(self, b):
+        x, y = b.S[0], b.S[1]
+        out = b.was & ((x > self.x_hi) | (y > self.y_hi))
+        self.ft[b.idx[out]] = x[out] ** 2 + y[out] ** 2
+        b.alive &= ~out
+
+    def sub(self, b, t, h):
+        x, y = b.pre[0], b.pre[1]
+        xn, av, yn, bv, kcoef = self.tab
+        lf = np.interp(x, xn, av) + np.interp(y, yn, bv) + 2.0 * kcoef * x * y * y
+        self.acc[b.idx[b.was]] += lf[b.was] * h
+        self._exit(b)
+
+    def finish(self, b):
+        inside = np.isnan(self.ft)
+        self.ft[inside] = b.final(0)[inside] ** 2 + b.final(1)[inside] ** 2
+
+
+class _JumpLog(_Rule):
+    """Records every thinned jump of X and Y as a ``large_jump`` event."""
+
+    def sub(self, b, t, h):
+        for name, (jumps,) in zip(("X", "Y"), b.jumps):
+            for i in np.flatnonzero(jumps > 0):
+                info = {"component": name, "size": float(jumps[i])}
+                b.events.append(PathEvent(t, "large_jump", info))
+
+
+class _Dominate(_Rule):
+    """Projects Z up to ``Y - Yt`` and Zbar up to Z after each substep.
+
+    A negative comparison gap within a substep means the continuum paths
+    met; the projection residuals are the overshoots the audit records.
+    """
+
+    def sub(self, b, t, h):
+        S = b.S
+        gap = np.maximum(S[2] - S[3], 0.0)
+        ov_z = np.where(b.was, np.maximum(gap - S[4], 0.0), 0.0)
+        S[4] += ov_z
+        ov_zb = np.where(b.was, np.maximum(S[4] - S[5], 0.0), 0.0)
+        S[5] += ov_zb
+        b.ov = (ov_z, ov_zb)
+
+
+class _Audit(_Rule):
+    """Violations of the three comparison orderings, per path, up to the
+    exit time ``tau_plus`` unless ``ignore_exit``."""
+
+    def __init__(self, ignore_exit):
+        self.ignore_exit = ignore_exit
+
+    def start(self, b):
+        o = b.out
+        o["viol_order"] = np.full(b.n, -np.inf)  # max of yt - y at grid points
+        for key in ("viol_z", "viol_zbar"):
+            o[key] = np.zeros(b.n)  # max per-substep projection overshoot
+            o[key + "_sum"] = np.zeros(b.n)  # summed overshoots (per event)
+            o[key + "_cnt"] = np.zeros(b.n, dtype=np.int64)
+
+    def sub(self, b, t, h):
+        if b.ov is None:
+            return
+        o, scope = b.out, b.was
+        if not self.ignore_exit:
+            th = b.at(o["tau_plus"])
+            scope = scope & (np.isinf(th) | (th >= t))
+        for key, ov in zip(("viol_z", "viol_zbar"), b.ov):
+            o[key] = np.where(scope, np.maximum(o[key], ov), o[key])
+            hit = scope & (ov > 0.0)
+            o[key + "_sum"][hit] += ov[hit]
+            o[key + "_cnt"][hit] += 1
+
+    def step(self, b, k):
+        o = b.out
+        act = b.alive & np.isinf(o["abort"])
+        if not self.ignore_exit:
+            th = o["tau_plus"]
+            act &= ~(np.isfinite(th) & (th <= (k + 1) * b.scheme.dt))
+        o["viol_order"] = np.where(
+            act, np.maximum(o["viol_order"], b.S[3] - b.S[2]), o["viol_order"]
+        )
+
+
+# ---------------------------------------------------------------------------
+# engines
+
+
+def _pred(p, x):
+    return -p.b1 * x**p.alpha1 + p.a1 * x + p.gamma1
+
+
+def _prey(p, x, y, gamma):
+    return p.k * x * y - p.b2 * y**p.alpha2 + p.a2 * y + gamma
+
+
+def _system(p, scheme, truncation, x_only, low, high, retire, record, dynkin, x0, y0):
+    """Independent (X, Y) paths on two one-consumer sheets.
 
     ``truncation`` replaces the predation driver by ``min(X, N)``.
     ``low``/``high`` are crossing levels for X; ``retire`` ("low", "high",
     "both") stops a path once the matching levels are recorded.  ``dynkin``
-    is ``(x_nodes, a_vals, y_nodes, b_vals, k_coef, x_hi, y_hi)``: accumulate
-    the tabulated generator of the separable quadratic along the path and
-    freeze at the exit of [0, x_hi] x [0, y_hi].
+    holds the arguments of ``_Dynkin``.  With ``x_only`` Y stays at 0.
     """
-    n = x0.shape[0]
-    x = np.array(x0, dtype=float)
-    y = np.zeros(n) if x_only else np.array(y0, dtype=float)
     ch1 = _Channel.build(p.sigma1, p.n1, scheme)
     ch2 = _Channel.build(p.sigma2, p.n2, scheme)
-    dt, m = scheme.dt, scheme.n_steps
-    cap = scheme.state_cap
+    S = np.array([x0, np.zeros_like(x0) if x_only else y0], dtype=float)
+    sheets = [(ch1, lambda S: S[:1], slice(0, 1))]
+    if not x_only:
+        sheets.append((ch2, lambda S: S[1:], slice(1, 2)))
 
-    tau_lo = np.full(n, np.inf)
-    tau_hi = np.full(n, np.inf)
-    abort_t = np.full(n, np.inf)
-    alive = np.ones(n, dtype=bool)
-    idx = np.arange(n)
+    def drift(S, k):
+        x, y = S
+        if x_only:
+            return np.stack([_pred(p, x), np.zeros_like(y)])
+        xeff = np.minimum(x, truncation) if truncation is not None else x
+        return np.stack([_pred(p, x), _prey(p, xeff, y, p.gamma2)])
 
-    dyn_acc = np.zeros(n) if dynkin is not None else None
-    dyn_ft = np.full(n, np.nan) if dynkin is not None else None
-    if dynkin is not None:
-        xn, av, yn, bv, kcoef, dx_hi, dy_hi = dynkin
-
-    if record:
-        rec = np.full((m + 1, n, 2), np.nan)
-        rec[0, :, 0] = x
-        rec[0, :, 1] = y
-    events: list[PathEvent] = []
-
-    if low is not None:
-        tau_lo[x <= low] = 0.0
-    if high is not None:
-        tau_hi[x >= high] = 0.0
-    if dynkin is not None:
-        out_now = (x > dx_hi) | (y > dy_hi)
-        dyn_ft[out_now] = x[out_now] ** 2 + y[out_now] ** 2
-        alive &= ~out_now
-
-    for k in range(m):
-        if x.shape[0] == 0 or not np.any(alive):
-            break
-        mx = float(np.max(x[alive], initial=0.0))
-        my = float(np.max(y[alive], initial=0.0)) if not x_only else 0.0
-        jump_rate = max(ch1.lam * mx, ch2.lam * my)
+    def rates(top, k):
+        mx, my = top
         stiff = p.b1 * mx ** (p.alpha1 - 1.0) + abs(p.a1)
         if not x_only:
             stiff = max(
                 stiff, p.b2 * my ** (p.alpha2 - 1.0) + abs(p.a2) + abs(p.k) * mx
             )
-        nsub = _substeps(dt, jump_rate, stiff)
-        h = dt / nsub
-        for j in range(nsub):
-            gx = _gauss(ch1, x, h, rng)
-            jx = _jump_arrays(ch1, x, h, rng)
-            if not x_only:
-                gy = _gauss(ch2, y, h, rng)
-                jy = _jump_arrays(ch2, y, h, rng)
-            t_sub = k * dt + (j + 1) * h
+        return max(ch1.lam * mx, ch2.lam * my), stiff
 
-            if dynkin is not None:
-                lf = (
-                    np.interp(x, xn, av)
-                    + np.interp(y, yn, bv)
-                    + 2.0 * kcoef * x * y * y
-                )
-                dyn_acc[alive] += lf[alive] * h
-
-            phi_x = -p.b1 * x**p.alpha1 + p.a1 * x + p.gamma1
-            new_x = x + phi_x * h + gx + jx - x * ch1.tlm * h
-            np.maximum(new_x, 0.0, out=new_x)
-            if not x_only:
-                xeff = np.minimum(x, truncation) if truncation is not None else x
-                phi_y = p.k * xeff * y - p.b2 * y**p.alpha2 + p.a2 * y + p.gamma2
-                new_y = y + phi_y * h + gy + jy - y * ch2.tlm * h
-                np.maximum(new_y, 0.0, out=new_y)
-            else:
-                new_y = y
-
-            x = np.where(alive, new_x, x)
-            y = np.where(alive, new_y, y)
-
-            if record and np.any(jx > 0):
-                for i in np.flatnonzero(jx > 0):
-                    events.append(
-                        PathEvent(t_sub, "large_jump", {"component": "X", "size": float(jx[i])})
-                    )
-            if record and not x_only and np.any(jy > 0):
-                for i in np.flatnonzero(jy > 0):
-                    events.append(
-                        PathEvent(t_sub, "large_jump", {"component": "Y", "size": float(jy[i])})
-                    )
-
-            if low is not None:
-                hit = alive & (x <= low) & np.isinf(tau_lo[idx])
-                tau_lo[idx[hit]] = t_sub
-            if high is not None:
-                hit = alive & (x >= high) & np.isinf(tau_hi[idx])
-                tau_hi[idx[hit]] = t_sub
-            over = alive & ((x >= cap) | (y >= cap))
-            if np.any(over):
-                abort_t[idx[over]] = t_sub
-                alive &= ~over
-                if record:
-                    events.append(PathEvent(t_sub, "cap_abort", {}))
-            if dynkin is not None:
-                out_now = alive & ((x > dx_hi) | (y > dy_hi))
-                if np.any(out_now):
-                    dyn_ft[idx[out_now]] = x[out_now] ** 2 + y[out_now] ** 2
-                    alive &= ~out_now
-            if retire in ("low", "both") and low is not None:
-                alive &= ~(np.isfinite(tau_lo[idx]))
-            if retire in ("high", "both") and high is not None:
-                alive &= ~(np.isfinite(tau_hi[idx]))
-
-        if record:
-            rec[k + 1, :, 0] = x
-            rec[k + 1, :, 1] = y
-        elif (
-            dynkin is None
-            and k % 64 == 63
-            and alive.size > 0
-            and np.mean(alive) < 0.5
-        ):
-            keep = alive
-            x, y, idx = x[keep], y[keep], idx[keep]
-            alive = np.ones(int(keep.sum()), dtype=bool)
-
-    out = {"tau_minus": tau_lo, "tau_plus": tau_hi, "abort": abort_t}
-    if dynkin is not None:
-        # paths never stopped by the region exit froze at the horizon
-        fx = np.full(n, np.nan)
-        fy = np.full(n, np.nan)
-        fx[idx] = x
-        fy[idx] = y
-        inside = np.isnan(dyn_ft)
-        dyn_ft[inside] = fx[inside] ** 2 + fy[inside] ** 2
-        out["dynkin_acc"] = dyn_acc
-        out["dynkin_fT"] = dyn_ft
-    if record:
-        out["rec"] = rec
-        out["events"] = events
-    else:
-        fx = np.full(n, np.nan)
-        fy = np.full(n, np.nan)
-        fx[idx] = x
-        fy[idx] = y
-        out["final_x"] = fx
-        out["final_y"] = fy
-    return out
-
-
-def _pair_gauss(ch, u, v, h, rng):
-    """Overlap-coupled Gaussian increments for a pair at levels (u, v)."""
-    n = u.shape[0]
-    bmin = np.minimum(u, v)
-    d = np.abs(u - v)
-    big_u = u >= v
-    gb = rng.standard_normal(n)
-    gd = rng.standard_normal(n)
-    common = np.sqrt(2.0 * ch.sigma * bmin * h) * gb
-    extra = np.sqrt(2.0 * ch.sigma * d * h) * gd
-    if ch.ar_var > 0.0:
-        gab = rng.standard_normal(n)
-        gad = rng.standard_normal(n)
-        common = common + np.sqrt(ch.ar_var * bmin * h) * gab
-        extra = extra + np.sqrt(ch.ar_var * d * h) * gad
-    inc_u = common + np.where(big_u, extra, 0.0)
-    inc_v = common + np.where(big_u, 0.0, extra)
-    return inc_u, inc_v
-
-
-def _pair_jumps(ch, u, v, h, rng):
-    """Overlap-coupled thinned jumps for a pair; compensators not included."""
-    n = u.shape[0]
-    ub = rng.random(n)
-    usb = rng.random(n)
-    ud = rng.random(n)
-    usd = rng.random(n)
-    if ch.lam <= 0.0:
-        z = np.zeros(n)
-        return z, z
-    bmin = np.minimum(u, v)
-    d = np.abs(u - v)
-    big_u = u >= v
-    jb = np.where(ub < bmin * ch.lam * h, ch.sizes(usb), 0.0)
-    jd = np.where(ud < d * ch.lam * h, ch.sizes(usd), 0.0)
-    inc_u = jb + np.where(big_u, jd, 0.0)
-    inc_v = jb + np.where(big_u, 0.0, jd)
-    return inc_u, inc_v
-
-
-def _sheet_gauss(ch, levels, h, rng):
-    """Sheet Gaussians for several consumers: Cov = 2 sigma h min(levels)."""
-    n, c = levels.shape
-    order = np.argsort(levels, axis=1, kind="stable")
-    sorted_lv = np.take_along_axis(levels, order, axis=1)
-    gaps = np.concatenate(
-        [sorted_lv[:, :1], np.diff(sorted_lv, axis=1)], axis=1
+    rules = [_JumpLog()] if record else []
+    rules += [
+        _Cross("tau_minus", low, False, retire=retire in ("low", "both")),
+        _Cross("tau_plus", high, True, retire=retire in ("high", "both")),
+    ]
+    rules += [_Dynkin(*dynkin)] if dynkin is not None else []
+    finals = () if record else (("final_x", 0), ("final_y", 1))
+    tlm = [ch1.tlm, ch2.tlm]
+    return _Batch(
+        scheme, S, tlm, sheets, drift, rates, rules,
+        record=record, compact=dynkin is None, finals=finals,
     )
-    g = rng.standard_normal((n, c))
-    noise = np.sqrt(2.0 * ch.sigma * gaps * h) * g
-    if ch.ar_var > 0.0:
-        ga = rng.standard_normal((n, c))
-        noise = noise + np.sqrt(ch.ar_var * gaps * h) * ga
-    cums = np.cumsum(noise, axis=1)
-    inv = np.argsort(order, axis=1, kind="stable")
-    return np.take_along_axis(cums, inv, axis=1)
 
 
-def _sheet_jumps(ch, levels, h, rng):
-    """Sheet jump marks for several consumers; a mark hits levels above it."""
-    n, c = levels.shape
-    uf = rng.random(n)
-    up = rng.random(n)
-    us = rng.random(n)
-    if ch.lam <= 0.0:
-        return np.zeros((n, c))
-    vtop = np.max(levels, axis=1)
-    fire = uf < vtop * ch.lam * h
-    if not np.any(fire):
-        return np.zeros((n, c))
-    pos = up * vtop
-    sizes = ch.sizes(us)
-    recv = fire[:, None] & (levels >= pos[:, None]) & (levels > 0.0)
-    return np.where(recv, sizes[:, None], 0.0)
+def _coupled(
+    p, scheme, M, with_aux, audit, ignore_exit, high, record, x0, xt0, y0, yt0
+):
+    """Coupled pairs ((X, Y), (Xt, Yt)) on two two-consumer sheets.
 
-
-def _coupled_task(
-    p: ModelParams,
-    scheme: SimScheme,
-    M: float | None,
-    with_aux: bool,
-    audit: bool,
-    ignore_exit: bool,
-    high: float | None,
-    record: bool,
-    x0: np.ndarray,
-    xt0: np.ndarray,
-    y0: np.ndarray,
-    yt0: np.ndarray,
-    rng: np.random.Generator,
-) -> dict:
-    """One batch of coupled pairs, optionally with the comparison processes.
-
-    With ``with_aux`` the initial first components must coincide and
-    ``y0 >= yt0``; Z starts at ``y0 - yt0`` and Zbar at the same value, both
-    consuming the second-component sheet in the difference frame.
+    With ``with_aux`` the dominating processes Z and Zbar ride along in the
+    difference frame; the first components must coincide, ``y0 >= yt0``,
+    and Z and Zbar both start at ``y0 - yt0``.
     """
-    n = x0.shape[0]
-    x = np.array(x0, dtype=float)
-    xt = np.array(xt0, dtype=float)
-    y = np.array(y0, dtype=float)
-    yt = np.array(yt0, dtype=float)
+    ch1 = _Channel.build(p.sigma1, p.n1, scheme)
+    ch2 = _Channel.build(p.sigma2, p.n2, scheme)
+    rows = [x0, xt0, y0, yt0]
+    sheets = [(ch1, lambda S: S[0:2], slice(0, 2))]
     if with_aux:
         if M is None:
             raise InvalidParams("with_aux needs the freeze level M")
-        if np.any(x != xt):
+        if np.any(x0 != xt0):
             raise InvalidParams("aux comparison runs need x0 == xt0")
-        if np.any(y < yt):
+        if np.any(y0 < yt0):
             raise InvalidParams("aux comparison runs need y0 >= yt0")
-        z = y - yt
-        zb = y - yt
         lam_bar = 2.0 * p.k * M + p.a2
-    ch1 = _Channel.build(p.sigma1, p.n1, scheme)
-    ch2 = _Channel.build(p.sigma2, p.n2, scheme)
-    dt, m = scheme.dt, scheme.n_steps
-    cap = scheme.state_cap
-    delta = scheme.meet_tol
+        rows += [y0 - yt0, y0 - yt0]
+        # Y - Yt, Z and Zbar in the difference frame, above the base at Yt
+        diff = lambda S: np.maximum(np.stack([S[2] - S[3], S[4], S[5]]), 0.0)
+        sheets += [(ch2, lambda S: S[3:4], slice(2, 4)), (ch2, diff, [2, 4, 5])]
+    else:
+        sheets.append((ch2, lambda S: S[2:4], slice(2, 4)))
 
-    glued_x = np.zeros(n, dtype=bool)
-    glued_y = np.zeros(n, dtype=bool)
-    t_x = np.full(n, np.inf)
-    t_full = np.full(n, np.inf)
-    zeta0 = np.full(n, np.inf)
-    zetab0 = np.full(n, np.inf)
-    tau_hi = np.full(n, np.inf)
-    abort_t = np.full(n, np.inf)
-    alive = np.ones(n, dtype=bool)
-    idx = np.arange(n)
-    # audit/aux/record runs keep every path active, so the full-size
-    # accumulators written with np.where stay aligned; only plain
-    # meeting-time runs compact their working arrays
-    compactable = not (audit or record or with_aux)
-
-    # glue anything already together at time zero
-    hit = np.abs(x - xt) <= delta
-    glued_x |= hit
-    t_x[hit] = 0.0
-    xt = np.where(glued_x, x, xt)
-    hit = glued_x & (np.abs(y - yt) <= delta)
-    glued_y |= hit
-    t_full[hit] = 0.0
-    yt = np.where(glued_y, y, yt)
-    if with_aux:
-        done = z <= delta
-        zeta0[done] = 0.0
-        z = np.where(done, 0.0, z)
-        done = zb <= delta
-        zetab0[done] = 0.0
-        zb = np.where(done, 0.0, zb)
-    if high is not None:
-        tau_hi[np.maximum(x, xt) >= high] = 0.0
-
-    if audit:
-        viol_order = np.full(n, -np.inf)  # max of yt - y at grid points
-        viol_z = np.zeros(n)  # max per-substep overshoot of (y - yt) over z
-        viol_zbar = np.zeros(n)  # max per-substep overshoot of z over zbar
-        viol_z_sum = np.zeros(n)  # summed overshoots (per-event statistics)
-        viol_z_cnt = np.zeros(n, dtype=np.int64)
-        viol_zbar_sum = np.zeros(n)
-        viol_zbar_cnt = np.zeros(n, dtype=np.int64)
-
-    if record:
-        cols = 6 if with_aux else 4
-        rec = np.full((m + 1, n, cols), np.nan)
-        rec[0, :, 0] = x
-        rec[0, :, 1] = xt
-        rec[0, :, 2] = y
-        rec[0, :, 3] = yt
+    def drift(S, k):
+        x, xt, y, yt = S[:4]
+        d = [_pred(p, x), _pred(p, xt), _prey(p, x, y, p.gamma2)]
+        d.append(_prey(p, xt, yt, p.gamma2))
         if with_aux:
-            rec[0, :, 4] = z
-            rec[0, :, 5] = zb
-    events: list[PathEvent] = []
+            d += [_prey(p, x, S[4], 0.0), lam_bar * S[5] - p.b2 * S[5] ** p.alpha2]
+        return np.stack(d)
 
-    for k in range(m):
-        if x.shape[0] == 0 or not np.any(alive):
-            break
-        act = alive
-        mx = float(np.max(np.maximum(x, xt)[act], initial=0.0))
-        tops = [np.max(np.maximum(y, yt)[act], initial=0.0)]
-        if with_aux:
-            tops.append(np.max(z[act], initial=0.0))
-            tops.append(np.max(zb[act], initial=0.0))
-        my = float(max(tops))
-        jump_rate = max(ch1.lam * mx, 2.0 * ch2.lam * my)
-        stiff = p.b1 * mx ** (p.alpha1 - 1.0) + abs(p.a1)
+    def rates(top, k):
+        mx, my = max(top[:2]), max(top[2:])
         s2 = p.b2 * my ** (p.alpha2 - 1.0) + abs(p.a2) + abs(p.k) * mx
         if with_aux:
             s2 = max(s2, p.b2 * my ** (p.alpha2 - 1.0) + abs(lam_bar))
-        stiff = max(stiff, s2)
-        nsub = _substeps(dt, jump_rate, stiff)
-        h = dt / nsub
-        for j in range(nsub):
-            t_sub = k * dt + (j + 1) * h
-            d_pre_x = x - xt
-            gx_u, gx_v = _pair_gauss(ch1, x, xt, h, rng)
-            jx_u, jx_v = _pair_jumps(ch1, x, xt, h, rng)
-            phi = -p.b1 * x**p.alpha1 + p.a1 * x + p.gamma1
-            phit = -p.b1 * xt**p.alpha1 + p.a1 * xt + p.gamma1
-            new_x = np.maximum(x + phi * h + gx_u + jx_u - x * ch1.tlm * h, 0.0)
-            new_xt = np.maximum(xt + phit * h + gx_v + jx_v - xt * ch1.tlm * h, 0.0)
+        stiff = max(p.b1 * mx ** (p.alpha1 - 1.0) + abs(p.a1), s2)
+        return max(ch1.lam * mx, 2.0 * ch2.lam * my), stiff
 
-            d_pre_y = y - yt
-            if with_aux:
-                base = yt
-                gb = rng.standard_normal(n)
-                base_noise = np.sqrt(2.0 * ch2.sigma * base * h) * gb
-                if ch2.ar_var > 0.0:
-                    gab = rng.standard_normal(n)
-                    base_noise = base_noise + np.sqrt(ch2.ar_var * base * h) * gab
-                levels = np.stack([y - yt, z, zb], axis=1)
-                np.maximum(levels, 0.0, out=levels)
-                dvals = _sheet_gauss(ch2, levels, h, rng)
-                jb_u = rng.random(n)
-                jb_s = rng.random(n)
-                dj = _sheet_jumps(ch2, levels, h, rng)
-                if ch2.lam > 0.0:
-                    jbase = np.where(jb_u < base * ch2.lam * h, ch2.sizes(jb_s), 0.0)
-                else:
-                    jbase = np.zeros(n)
-                phi_y = p.k * x * y - p.b2 * y**p.alpha2 + p.a2 * y + p.gamma2
-                phi_yt = p.k * x * yt - p.b2 * yt**p.alpha2 + p.a2 * yt + p.gamma2
-                phi_z = p.k * x * z - p.b2 * z**p.alpha2 + p.a2 * z
-                phi_zb = lam_bar * zb - p.b2 * zb**p.alpha2
-                new_y = np.maximum(
-                    y
-                    + phi_y * h
-                    + base_noise
-                    + dvals[:, 0]
-                    + jbase
-                    + dj[:, 0]
-                    - y * ch2.tlm * h,
-                    0.0,
-                )
-                new_yt = np.maximum(
-                    yt + phi_yt * h + base_noise + jbase - yt * ch2.tlm * h, 0.0
-                )
-                new_z = np.maximum(
-                    z + phi_z * h + dvals[:, 1] + dj[:, 1] - z * ch2.tlm * h, 0.0
-                )
-                new_zb = np.maximum(
-                    zb + phi_zb * h + dvals[:, 2] + dj[:, 2] - zb * ch2.tlm * h, 0.0
-                )
-            else:
-                gy_u, gy_v = _pair_gauss(ch2, y, yt, h, rng)
-                jy_u, jy_v = _pair_jumps(ch2, y, yt, h, rng)
-                phi_y = p.k * x * y - p.b2 * y**p.alpha2 + p.a2 * y + p.gamma2
-                phi_yt = p.k * xt * yt - p.b2 * yt**p.alpha2 + p.a2 * yt + p.gamma2
-                new_y = np.maximum(
-                    y + phi_y * h + gy_u + jy_u - y * ch2.tlm * h, 0.0
-                )
-                new_yt = np.maximum(
-                    yt + phi_yt * h + gy_v + jy_v - yt * ch2.tlm * h, 0.0
-                )
-
-            x = np.where(alive, new_x, x)
-            xt = np.where(alive, new_xt, xt)
-            y = np.where(alive, new_y, y)
-            yt = np.where(alive, new_yt, yt)
-
-            # gluing: tolerance hit or sign change within the substep
-            d_new = x - xt
-            meet = alive & ~glued_x & (
-                (np.abs(d_new) <= delta) | (d_pre_x * d_new < 0.0) | (d_new == 0.0)
-            )
-            if np.any(meet):
-                t_x[idx[meet]] = t_sub
-                glued_x |= meet
-                if record:
-                    events.append(PathEvent(t_sub, "glue", {"pair": "X"}))
-            xt = np.where(glued_x, x, xt)
-
-            d_new = y - yt
-            meet = (
-                alive
-                & glued_x
-                & ~glued_y
-                & (
-                    (np.abs(d_new) <= delta)
-                    | (d_pre_y * d_new < 0.0)
-                    | (d_new == 0.0)
-                )
-            )
-            if np.any(meet):
-                t_full[idx[meet]] = t_sub
-                glued_y |= meet
-                if record:
-                    events.append(PathEvent(t_sub, "glue", {"pair": "Y"}))
-            yt = np.where(glued_y, y, yt)
-
-            if with_aux:
-                # a negative comparison gap within a substep means the
-                # continuum paths met; project the dominating process up by
-                # the overshoot and let the audit record the residual
-                d_now = np.maximum(y - yt, 0.0)
-                ov_z = np.where(alive, np.maximum(d_now - new_z, 0.0), 0.0)
-                new_z = new_z + ov_z
-                ov_zb = np.where(alive, np.maximum(new_z - new_zb, 0.0), 0.0)
-                new_zb = new_zb + ov_zb
-                z = np.where(alive, new_z, z)
-                zb = np.where(alive, new_zb, zb)
-                if audit:
-                    if ignore_exit:
-                        scope = alive
-                    else:
-                        th = tau_hi[idx]
-                        scope = alive & (np.isinf(th) | (th >= t_sub))
-                    viol_z = np.where(scope, np.maximum(viol_z, ov_z), viol_z)
-                    viol_zbar = np.where(
-                        scope, np.maximum(viol_zbar, ov_zb), viol_zbar
-                    )
-                    hit_z = scope & (ov_z > 0.0)
-                    viol_z_sum[hit_z] += ov_z[hit_z]
-                    viol_z_cnt[hit_z] += 1
-                    hit_zb = scope & (ov_zb > 0.0)
-                    viol_zbar_sum[hit_zb] += ov_zb[hit_zb]
-                    viol_zbar_cnt[hit_zb] += 1
-
-                done = alive & (z <= delta) & np.isinf(zeta0)
-                zeta0[done] = t_sub
-                z = np.where(z <= delta, 0.0, z)
-                done = alive & (zb <= delta) & np.isinf(zetab0)
-                zetab0[done] = t_sub
-                zb = np.where(zb <= delta, 0.0, zb)
-
-            if high is not None:
-                hit = alive & (np.maximum(x, xt) >= high) & np.isinf(tau_hi[idx])
-                tau_hi[idx[hit]] = t_sub
-            states_top = np.maximum(np.maximum(x, xt), np.maximum(y, yt))
-            if with_aux:
-                states_top = np.maximum(states_top, np.maximum(z, zb))
-            over = alive & (states_top >= cap)
-            if np.any(over):
-                abort_t[idx[over]] = t_sub
-                alive &= ~over
-                if record:
-                    events.append(PathEvent(t_sub, "cap_abort", {}))
-
-        if audit:
-            act = alive & (np.isinf(abort_t))
-            if not ignore_exit:
-                act &= ~(np.isfinite(tau_hi) & (tau_hi <= (k + 1) * dt))
-            viol_order = np.where(act, np.maximum(viol_order, yt - y), viol_order)
-        if record:
-            rec[k + 1, :, 0] = x
-            rec[k + 1, :, 1] = xt
-            rec[k + 1, :, 2] = y
-            rec[k + 1, :, 3] = yt
-            if with_aux:
-                rec[k + 1, :, 4] = z
-                rec[k + 1, :, 5] = zb
-        if compactable:
-            # meeting-time runs can drop fully-met paths
-            alive &= ~(glued_x & glued_y)
-            if k % 64 == 63 and alive.size > 0 and np.mean(alive) < 0.5:
-                keep = alive
-                x, xt = x[keep], xt[keep]
-                y, yt = y[keep], yt[keep]
-                glued_x, glued_y = glued_x[keep], glued_y[keep]
-                idx = idx[keep]
-                alive = np.ones(int(keep.sum()), dtype=bool)
-
-    out = {
-        "t_x": t_x,
-        "t_full": t_full,
-        "tau_plus": tau_hi,
-        "abort": abort_t,
-    }
+    # audit, aux and record runs keep every path active, so their full-size
+    # outputs stay aligned; only plain meeting-time runs retire met paths
+    compact = not (audit or record or with_aux)
+    glue_x = _Glue(0, 1, "t_x", "X")
+    rules = [glue_x, _Glue(2, 3, "t_full", "Y", glue_x, compact)]
+    rules += [_Dominate()] if with_aux else []
+    rules += [_Audit(ignore_exit)] if audit else []
     if with_aux:
-        out["zeta0"] = zeta0
-        out["zetabar0"] = zetab0
-    if audit:
-        out["viol_order"] = viol_order
-        out["viol_z"] = viol_z
-        out["viol_zbar"] = viol_zbar
-        out["viol_z_sum"] = viol_z_sum
-        out["viol_z_cnt"] = viol_z_cnt
-        out["viol_zbar_sum"] = viol_zbar_sum
-        out["viol_zbar_cnt"] = viol_zbar_cnt
-    if record:
-        out["rec"] = rec
-        out["events"] = events
-    return out
+        rules += [_Absorb(4, "zeta0", False), _Absorb(5, "zetabar0", False)]
+    rules.append(_Cross("tau_plus", high, True, lambda S: np.maximum(S[0], S[1])))
+    tlm = [ch1.tlm] * 2 + [ch2.tlm] * (len(rows) - 2)
+    S = np.array(rows, dtype=float)
+    return _Batch(
+        scheme, S, tlm, sheets, drift, rates, rules, record=record, compact=compact
+    )
 
 
-def _scalar_task(
-    kind: str,
-    args: tuple,
-    scheme: SimScheme,
-    z0: np.ndarray,
-    rng: np.random.Generator,
-) -> dict:
-    """One batch of a one-dimensional process.
+def _scalar(scheme, z0, sigma, measure, drift, stiff, stop):
+    """One consumer on one sheet, stopped by ``stop`` or the cap; a zero
+    measure draws no jump uniforms here."""
+    ch = _Channel.build(sigma, measure, scheme, jumps=not measure.is_zero)
+    sheets = [(ch, lambda S: S, slice(0, 1))]
+    S = np.array([z0], dtype=float)
 
-    kinds: ``zbar`` (args = (params, M)): absorption at meet_tol recorded;
-    ``zdriver`` (args = (params, x_path)): dominating process along a frozen
-    driver; ``cir`` (args = (b, gamma, sigma, hit_level)): mean-reverting
-    diffusion with bridge-corrected level crossing.
-    """
-    n = z0.shape[0]
-    z = np.array(z0, dtype=float)
-    dt, m = scheme.dt, scheme.n_steps
-    cap = scheme.state_cap
-    hitting = np.full(n, np.inf)
-    abort_t = np.full(n, np.inf)
-    idx = np.arange(n)
-    alive = np.ones(n, dtype=bool)
+    def rates(top, k):
+        return ch.lam * top[0], stiff(top[0], k)
 
-    if kind == "cir":
-        b_cir, gamma_cir, sigma_cir, level = args
-        ch = _Channel.build(sigma_cir, ZeroMeasure(), scheme)
-        alive &= z > level
-        hitting[z <= level] = 0.0
-    elif kind == "zbar":
-        p, M = args
-        ch = _Channel.build(p.sigma2, p.n2, scheme)
-        lam_bar = 2.0 * p.k * M + p.a2
-        tol = scheme.meet_tol
-        hitting[z <= tol] = 0.0
-        z[z <= tol] = 0.0
-        alive &= z > 0.0
-    elif kind == "zdriver":
-        p, xpath = args
-        ch = _Channel.build(p.sigma2, p.n2, scheme)
-        tol = scheme.meet_tol
-        hitting[z <= tol] = 0.0
-        z[z <= tol] = 0.0
-        alive &= z > 0.0
-    else:
-        raise InvalidParams("unknown scalar engine %r" % kind)
+    return _Batch(scheme, S, [ch.tlm], sheets, drift, rates, [stop])
 
-    for k in range(m):
-        if z.shape[0] == 0 or not np.any(alive):
-            break
-        mz = float(np.max(z[alive], initial=0.0))
-        if kind == "cir":
-            stiff = b_cir
-            jump_rate = 0.0
-        elif kind == "zbar":
-            stiff = p.b2 * mz ** (p.alpha2 - 1.0) + abs(lam_bar)
-            jump_rate = ch.lam * mz
-        else:
-            xk = float(xpath[min(k, len(xpath) - 1)])
-            stiff = p.b2 * mz ** (p.alpha2 - 1.0) + abs(p.a2) + abs(p.k) * xk
-            jump_rate = ch.lam * mz
-        nsub = _substeps(dt, jump_rate, stiff)
-        h = dt / nsub
-        for j in range(nsub):
-            t_sub = k * dt + (j + 1) * h
-            g = _gauss(ch, z, h, rng)
-            jz = (
-                _jump_arrays(ch, z, h, rng)
-                if not isinstance(ch.measure, ZeroMeasure)
-                else 0.0
-            )
-            if kind == "cir":
-                drift = -b_cir * z + gamma_cir
-                ub = rng.random(z.shape[0])
-            elif kind == "zbar":
-                drift = lam_bar * z - p.b2 * z**p.alpha2
-            else:
-                drift = p.k * xk * z - p.b2 * z**p.alpha2 + p.a2 * z
-            new_z = z + drift * h + g + jz - z * ch.tlm * h
-            np.maximum(new_z, 0.0, out=new_z)
 
-            if kind == "cir":
-                was = alive & np.isinf(hitting[idx])
-                crossed = was & (new_z <= level)
-                if np.any(crossed):
-                    frac = np.clip(
-                        (z[crossed] - level)
-                        / np.maximum(z[crossed] - new_z[crossed], 1e-300),
-                        0.0,
-                        1.0,
-                    )
-                    hitting[idx[crossed]] = t_sub - h + frac * h
-                above = was & (new_z > level)
-                if np.any(above):
-                    vbar = sigma_cir * (z[above] + new_z[above])  # 2*sigma*mean
-                    expo = (
-                        -2.0
-                        * (z[above] - level)
-                        * (new_z[above] - level)
-                        / np.maximum(vbar * h, 1e-300)
-                    )
-                    bridge = above.copy()
-                    bridge[above] = ub[above] < np.exp(expo)
-                    if np.any(bridge):
-                        hitting[idx[bridge]] = t_sub - 0.5 * h
-                        crossed = crossed | bridge
-                alive &= np.isinf(hitting[idx])
-            else:
-                done = alive & (new_z <= tol) & np.isinf(hitting[idx])
-                if np.any(done):
-                    hitting[idx[done]] = t_sub
-                    new_z[done] = 0.0
-                alive &= np.isinf(hitting[idx])
-            over = alive & (new_z >= cap)
-            if np.any(over):
-                abort_t[idx[over]] = t_sub
-                alive &= ~over
-            z = new_z
-        if k % 64 == 63 and alive.size > 0 and np.mean(alive) < 0.5:
-            keep = alive
-            z, idx = z[keep], idx[keep]
-            alive = np.ones(int(keep.sum()), dtype=bool)
+def _zbar(p, M, scheme, z0):
+    """Dominating frozen process, absorbed at ``meet_tol``."""
+    lam_bar = 2.0 * p.k * M + p.a2
+    return _scalar(
+        scheme,
+        z0,
+        p.sigma2,
+        p.n2,
+        lambda z, k: lam_bar * z - p.b2 * z**p.alpha2,
+        lambda mz, k: p.b2 * mz ** (p.alpha2 - 1.0) + abs(lam_bar),
+        _Absorb(0, "hitting", True),
+    )
 
-    return {"hitting": hitting, "abort": abort_t}
+
+def _zdriver(p, xpath, scheme, z0):
+    """Dominating process along a frozen first-component path ``xpath``."""
+
+    def xk(k):
+        return float(xpath[min(k, len(xpath) - 1)])
+
+    return _scalar(
+        scheme,
+        z0,
+        p.sigma2,
+        p.n2,
+        lambda z, k: _prey(p, xk(k), z, 0.0),
+        lambda mz, k: p.b2 * mz ** (p.alpha2 - 1.0) + abs(p.a2) + abs(p.k) * xk(k),
+        _Absorb(0, "hitting", True),
+    )
+
+
+def _cir(b, gamma, sigma, level, scheme, z0):
+    """Mean-reverting branching diffusion with bridge-corrected passage."""
+    return _scalar(
+        scheme,
+        z0,
+        sigma,
+        ZeroMeasure(),
+        lambda z, k: -b * z + gamma,
+        lambda mz, k: b,
+        _Bridge(level, sigma),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -979,17 +848,17 @@ def _scalar_task(
 
 
 def _run_task(payload):
-    fn, static, arrays, seed, tag = payload
-    rng = stream(seed, tag)
-    return fn(*static, *arrays, rng)
+    build, static, arrays, seed, tag = payload
+    return _loop(build(*static, *arrays), stream(seed, tag))
 
 
-def _fanout(fn, static, arrays, seed, tag_base, workers):
+def _fanout(build, static, arrays, seed, tag_base, workers):
     n = arrays[0].shape[0]
     tasks = []
     for b, lo in enumerate(range(0, n, BATCH)):
         hi = min(lo + BATCH, n)
-        tasks.append((fn, static, tuple(a[lo:hi] for a in arrays), seed, tag_base + b))
+        chunk = tuple(a[lo:hi] for a in arrays)
+        tasks.append((build, static, chunk, seed, tag_base + b))
     if workers <= 1 or len(tasks) == 1:
         results = [_run_task(t) for t in tasks]
     else:
@@ -1006,12 +875,6 @@ def _fanout(fn, static, arrays, seed, tag_base, workers):
         else:
             merged[key] = [item for part in parts for item in part]
     return merged
-
-
-def resolve_workers(workers) -> int:
-    if workers in (None, "auto"):
-        return max(1, (os.cpu_count() or 2) - 1)
-    return max(1, int(workers))
 
 
 def mc_system(
@@ -1033,7 +896,7 @@ def mc_system(
     x0s = np.asarray(x0s, dtype=float)
     y0s = np.zeros_like(x0s) if y0s is None else np.asarray(y0s, dtype=float)
     return _fanout(
-        _system_task,
+        _system,
         (p, scheme, truncation, x_only, low, high, retire, record, dynkin),
         (x0s, y0s),
         seed,
@@ -1060,7 +923,7 @@ def mc_coupled(
 ) -> dict:
     arrays = tuple(np.asarray(a, dtype=float) for a in (x0s, xt0s, y0s, yt0s))
     return _fanout(
-        _coupled_task,
+        _coupled,
         (p, scheme, M, with_aux, audit, ignore_exit, high, False),
         arrays,
         seed,
@@ -1073,9 +936,7 @@ def mc_zbar(
     p: ModelParams, scheme: SimScheme, M: float, z0s, seed: int, workers: int = 1
 ) -> dict:
     z0s = np.asarray(z0s, dtype=float)
-    return _fanout(
-        _scalar_task, ("zbar", (p, M), scheme), (z0s,), seed, _TAG_ZBAR, workers
-    )
+    return _fanout(_zbar, (p, M, scheme), (z0s,), seed, _TAG_ZBAR, workers)
 
 
 def mc_cir(
@@ -1090,12 +951,7 @@ def mc_cir(
 ) -> dict:
     z0s = np.asarray(z0s, dtype=float)
     return _fanout(
-        _scalar_task,
-        ("cir", (b, gamma, sigma, hit_level), scheme),
-        (z0s,),
-        seed,
-        _TAG_CIR,
-        workers,
+        _cir, (b, gamma, sigma, hit_level, scheme), (z0s,), seed, _TAG_CIR, workers
     )
 
 
@@ -1103,8 +959,36 @@ def mc_cir(
 # single-path wrappers
 
 
-def _single_stopping(scheme, **kwargs) -> StoppingRecord:
-    return StoppingRecord(horizon=scheme.horizon, **kwargs)
+def _single(build, static, init, rng) -> dict:
+    rng = _as_rng(rng)
+    return _loop(build(*static, *(np.array([v], dtype=float) for v in init)), rng)
+
+
+def _grid(scheme, out, states, **stops) -> PathGrid:
+    abort = float(out["abort"][0])
+    cap_abort = abort if math.isfinite(abort) else None
+    return PathGrid(
+        times=np.arange(scheme.n_steps + 1) * scheme.dt if states else np.array([0.0]),
+        states=states,
+        events=out.get("events", []),
+        stopping=StoppingRecord(horizon=scheme.horizon, cap_abort=cap_abort, **stops),
+    )
+
+
+def _system_grid(p, scheme, init, rng, truncation, low, high) -> PathGrid:
+    out = _single(
+        _system, (p, scheme, truncation, False, low, high, None, True, None), init, rng
+    )
+    rec = out["rec"][:, 0]
+    return _grid(
+        scheme,
+        out,
+        {"X": rec[:, 0], "Y": rec[:, 1]},
+        tau_minus=float(out["tau_minus"][0]) if low is not None else None,
+        tau_minus_level=low,
+        tau_plus=float(out["tau_plus"][0]) if high is not None else None,
+        tau_plus_level=high,
+    )
 
 
 def simulate_cbipc(
@@ -1117,36 +1001,7 @@ def simulate_cbipc(
     high: float | None = None,
 ) -> PathGrid:
     """One (X, Y) path on the dt-grid with optional X crossing levels."""
-    rng = _as_rng(rng)
-    out = _system_task(
-        p,
-        scheme,
-        None,
-        False,
-        low,
-        high,
-        None,
-        True,
-        None,
-        np.array([init[0]], dtype=float),
-        np.array([init[1]], dtype=float),
-        rng,
-    )
-    times = np.arange(scheme.n_steps + 1) * scheme.dt
-    stopping = _single_stopping(
-        scheme,
-        tau_minus=float(out["tau_minus"][0]) if low is not None else None,
-        tau_minus_level=low,
-        tau_plus=float(out["tau_plus"][0]) if high is not None else None,
-        tau_plus_level=high,
-        cap_abort=float(out["abort"][0]) if np.isfinite(out["abort"][0]) else None,
-    )
-    return PathGrid(
-        times=times,
-        states={"X": out["rec"][:, 0, 0], "Y": out["rec"][:, 0, 1]},
-        events=out["events"],
-        stopping=stopping,
-    )
+    return _system_grid(p, scheme, init, rng, None, low, high)
 
 
 def simulate_truncated(
@@ -1161,34 +1016,7 @@ def simulate_truncated(
     Under the same stream the truncated and plain paths are bitwise equal at
     every grid point up to the first passage of X above N.
     """
-    rng = _as_rng(rng)
-    out = _system_task(
-        p,
-        scheme,
-        N,
-        False,
-        None,
-        N,
-        None,
-        True,
-        None,
-        np.array([init[0]], dtype=float),
-        np.array([init[1]], dtype=float),
-        rng,
-    )
-    times = np.arange(scheme.n_steps + 1) * scheme.dt
-    stopping = _single_stopping(
-        scheme,
-        tau_plus=float(out["tau_plus"][0]),
-        tau_plus_level=N,
-        cap_abort=float(out["abort"][0]) if np.isfinite(out["abort"][0]) else None,
-    )
-    return PathGrid(
-        times=times,
-        states={"X": out["rec"][:, 0, 0], "Y": out["rec"][:, 0, 1]},
-        events=out["events"],
-        stopping=stopping,
-    )
+    return _system_grid(p, scheme, init, rng, N, None, N)
 
 
 def simulate_coupled(
@@ -1202,79 +1030,40 @@ def simulate_coupled(
     high: float | None = None,
 ) -> PathGrid:
     """One coupled path ((X, Y), (Xt, Yt)), optionally with (Z, Zbar)."""
-    rng = _as_rng(rng)
-    x0, xt0, y0, yt0 = (np.array([v], dtype=float) for v in init)
-    out = _coupled_task(
-        p, scheme, M, with_aux, False, False, high, True, x0, xt0, y0, yt0, rng
-    )
-    times = np.arange(scheme.n_steps + 1) * scheme.dt
-    states = {
-        "X": out["rec"][:, 0, 0],
-        "Xt": out["rec"][:, 0, 1],
-        "Y": out["rec"][:, 0, 2],
-        "Yt": out["rec"][:, 0, 3],
-    }
-    kwargs = {}
-    if with_aux:
-        states["Z"] = out["rec"][:, 0, 4]
-        states["Zbar"] = out["rec"][:, 0, 5]
-        kwargs["zeta0"] = float(out["zeta0"][0])
-        kwargs["zetabar0"] = float(out["zetabar0"][0])
-    stopping = _single_stopping(
+    static = (p, scheme, M, with_aux, False, False, high, True)
+    out = _single(_coupled, static, init, rng)
+    keys = ("t_x", "t_full", "zeta0", "zetabar0")
+    stops = {key: float(out[key][0]) for key in keys if key in out}
+    return _grid(
         scheme,
-        t_x=float(out["t_x"][0]),
-        t_full=float(out["t_full"][0]),
+        out,
+        dict(zip(_TRACE_COLUMNS, out["rec"][:, 0].T)),
         tau_plus=float(out["tau_plus"][0]) if high is not None else None,
         tau_plus_level=high,
-        cap_abort=float(out["abort"][0]) if np.isfinite(out["abort"][0]) else None,
-        **kwargs,
+        **stops,
     )
-    return PathGrid(times=times, states=states, events=out["events"], stopping=stopping)
 
 
 def simulate_aux_Zbar(
     p: ModelParams, scheme: SimScheme, M: float, z0: float, rng
 ) -> PathGrid:
     """Dominating frozen process; only the absorption time is recorded."""
-    rng = _as_rng(rng)
-    out = _scalar_task("zbar", (p, M), scheme, np.array([z0], dtype=float), rng)
-    stopping = _single_stopping(
-        scheme,
-        zetabar0=float(out["hitting"][0]),
-        cap_abort=float(out["abort"][0]) if np.isfinite(out["abort"][0]) else None,
-    )
-    return PathGrid(
-        times=np.array([0.0]),
-        states={},
-        events=[],
-        stopping=stopping,
-    )
+    out = _single(_zbar, (p, M, scheme), (z0,), rng)
+    return _grid(scheme, out, {}, zetabar0=float(out["hitting"][0]))
 
 
 def simulate_aux_Z(
     p: ModelParams, scheme: SimScheme, driver: PathGrid, z0: float, rng
 ) -> PathGrid:
     """Dominating process along a frozen X driver path."""
-    rng = _as_rng(rng)
     xpath = np.asarray(driver.states["X"], dtype=float)
-    out = _scalar_task(
-        "zdriver", (p, xpath), scheme, np.array([z0], dtype=float), rng
-    )
-    stopping = _single_stopping(
-        scheme,
-        zeta0=float(out["hitting"][0]),
-        cap_abort=float(out["abort"][0]) if np.isfinite(out["abort"][0]) else None,
-    )
-    return PathGrid(times=np.array([0.0]), states={}, events=[], stopping=stopping)
+    out = _single(_zdriver, (p, xpath, scheme), (z0,), rng)
+    return _grid(scheme, out, {}, zeta0=float(out["hitting"][0]))
 
 
 def simulate_cir(
     b: float, gamma: float, sigma: float, scheme: SimScheme, x0: float, rng
 ) -> PathGrid:
     """Mean-reverting branching diffusion; records the passage below 1."""
-    rng = _as_rng(rng)
-    out = _scalar_task(
-        "cir", (b, gamma, sigma, 1.0), scheme, np.array([x0], dtype=float), rng
-    )
-    stopping = _single_stopping(scheme, zeta0=float(out["hitting"][0]))
-    return PathGrid(times=np.array([0.0]), states={}, events=[], stopping=stopping)
+    out = _single(_cir, (b, gamma, sigma, 1.0, scheme), (x0,), rng)
+    return _grid(scheme, out, {}, zeta0=float(out["hitting"][0]))

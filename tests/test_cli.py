@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from branchcouple.cli import main
+from branchcouple.levy import measure_from_config, suggest_cutoff
 
 
 def _run(tmp_path, *argv):
@@ -101,6 +102,31 @@ def test_config_file_then_set_overrides(tmp_path):
     assert payload["results"]["init"] == [4.0, 0.5]
 
 
+def test_step_explosion_exits_5_without_traceback(tmp_path, capsys):
+    code, _ = _run(
+        tmp_path,
+        "simulate",
+        "--set",
+        'experiment={"init":[1e5,1.0]}',
+        "--set",
+        "scheme.dt=1.0",
+        "--set",
+        "scheme.horizon=0.01",
+    )
+    err = capsys.readouterr().err
+    assert code == 5
+    assert "subdivision" in err
+    assert "Traceback" not in err
+
+
+def test_empty_coupling_tail_inits_exit_2(tmp_path, capsys):
+    code, _ = _run(
+        tmp_path, "coupling-tail", "--set", 'experiment={"inits": []}'
+    )
+    assert code == 2
+    assert "inits" in capsys.readouterr().err
+
+
 def test_bad_set_syntax_exits_2(tmp_path, capsys):
     code, _ = _run(tmp_path, "simulate", "--set", "noequalsign")
     assert code == 2
@@ -183,10 +209,16 @@ def test_comparison_audit_subcommand(tmp_path):
         'experiment={"M": 5.0, "init": [2.5, 2.5, 1.2, 0.2]}',
     )
     assert code == 0
-    res = _load(out)["results"]
+    payload = _load(out)
+    res = payload["results"]
     for name in ("pair_order", "difference_below_Z", "Z_below_Zbar"):
         assert res[name]["frac_over_tol"] <= 0.05
     assert res["M"] == 5.0
+    # the default cutoff resolves jumps at 4x the Zbar equilibrium
+    m = payload["config"]["model"]
+    zbar_eq = ((2.0 * m["k"] * 5.0 + m["a2"]) / m["b2"]) ** (1.0 / (m["alpha2"] - 1.0))
+    want = suggest_cutoff(measure_from_config(m["n2"]), 0.002, 4.0 * zbar_eq)
+    assert payload["scheme"]["jump_cutoff"] >= want
 
 
 def test_couple_subcommand_with_aux(tmp_path):

@@ -235,7 +235,7 @@ def test_pair_gauss_covariance_is_overlap():
     n, h = 200_000, 1e-3
     u = np.full(n, 2.0)
     v = np.full(n, 5.0)
-    gu, gv = paths._pair_gauss(ch, u, v, h, stream(17, 0))
+    (gu, gv), _ = paths._sheet(ch, np.stack([u, v]), h, stream(17, 0))
     # Var = 2 sigma level h, Cov = 2 sigma min(level) h
     for got, lvl in ((gu, 2.0), (gv, 5.0)):
         var = np.var(got)
@@ -250,7 +250,7 @@ def test_sheet_gauss_covariance_is_min_of_levels():
     ch = paths._Channel.build(1.0, ZeroMeasure(), SimScheme(dt=1e-3, horizon=1.0))
     n, h = 200_000, 1e-3
     levels = np.tile(np.array([[1.0, 4.0, 2.5]]), (n, 1))
-    g = paths._sheet_gauss(ch, levels, h, stream(19, 0))
+    g = paths._sheet(ch, levels.T, h, stream(19, 0))[0].T
     for i in range(3):
         for j in range(3):
             want = 2.0 * min(levels[0, i], levels[0, j]) * h
@@ -266,7 +266,7 @@ def test_sheet_jumps_are_nested():
     )
     n, h = 50_000, 1e-3
     levels = np.tile(np.array([[0.5, 3.0, 1.5]]), (n, 1))
-    j = paths._sheet_jumps(ch, levels, h, stream(23, 0))
+    j = paths._sheet(ch, levels.T, h, stream(23, 0))[1].T
     # a mark below a level hits every larger level with the same size
     hit = j > 0.0
     assert np.any(hit)
@@ -274,6 +274,27 @@ def test_sheet_jumps_are_nested():
     assert np.all(hit[:, 2] <= hit[:, 1])
     both = hit[:, 0]
     assert np.allclose(j[both, 0], j[both, 1])
+
+
+@pytest.mark.parametrize(
+    "levels",
+    [(2.0, 2.0), (0.0, 0.0), (1.0, 1.0, 3.0), (0.5, 2.0, 2.0), (2.5, 2.5, 2.5)],
+    ids=["pair", "pair-at-zero", "tie-bottom", "tie-top", "all-tied"],
+)
+def test_sheet_gives_tied_consumers_equal_increments(levels):
+    m = StableLike(c=1.0, theta=1.5, truncation=10.0)
+    ch = paths._Channel.build(1.0, m, SimScheme(dt=1e-3, horizon=1.0, jump_cutoff=0.5))
+    n = 20_000
+    lv = np.repeat(np.array(levels)[:, None], n, axis=1)
+    g, j = paths._sheet(ch, lv, 0.05, stream(29, 0))
+    assert np.any(j > 0.0) == (max(levels) > 0.0)
+    for a in range(len(levels)):
+        for b in range(a + 1, len(levels)):
+            if levels[a] == levels[b]:
+                assert np.array_equal(g[a], g[b])
+                assert np.array_equal(j[a], j[b])
+            else:
+                assert not np.array_equal(g[a], g[b])
 
 
 def test_substep_guard_raises_on_explosion(ref):
