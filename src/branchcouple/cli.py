@@ -99,19 +99,26 @@ def _resolve_config(args) -> dict:
 
 
 def _resolve_scheme(cfg: dict, p: model.ModelParams, scale_hint: float) -> paths.SimScheme:
-    sc = dict(cfg["scheme"])
-    dt = float(sc.get("dt", 1e-3))
-    horizon = float(sc.get("horizon", 20.0))
-    if "jump_cutoff" in sc:
-        return paths.scheme_from_config(sc)
+    """``SimScheme.auto`` at the experiment's scale; a scheme key that is set
+    overrides only its own value."""
+    sc = cfg["scheme"]
+
+    def number(key, default=None):
+        value = sc.get(key, default)
+        try:
+            return None if value is None else float(value)
+        except (TypeError, ValueError) as exc:
+            raise InvalidParams("scheme key %s must be a number" % key) from exc
+
     return paths.SimScheme.auto(
         p,
-        dt,
-        horizon,
+        number("dt", 1e-3),
+        number("horizon", 20.0),
         scale=scale_hint,
-        meet_tol=sc.get("meet_tol"),
-        state_cap=float(sc.get("state_cap", 1e6)),
+        meet_tol=number("meet_tol"),
+        state_cap=number("state_cap", 1e6),
         small_jump_mode=sc.get("small_jump_mode"),
+        jump_cutoff=number("jump_cutoff"),
     )
 
 
@@ -272,7 +279,7 @@ def cmd_drift_check(cfg, args, p, files):
         )
     )
     results = cert.to_dict()
-    if exp.get("budget", False) or function in ("f", "h"):
+    if function in ("f", "h"):
         try:
             results["t0"] = lyapunov.budget_from(V.sup_value(), cert.certified_C)
         except (InvalidCertificate, OverflowError) as exc:
@@ -398,7 +405,7 @@ def cmd_comparison_audit(cfg, args, p, files):
     n_paths = int(args.paths or exp.get("n_paths", 2048))
     # the cutoff must resolve jumps at the Zbar equilibrium, which the
     # dominating process reaches long before the horizon
-    scale = max(1.0, *init, 2.0 * M, 4.0 * ergo.zbar_equilibrium(p, M))
+    scale = max(1.0, *init, 2.0 * M, 4.0 * model.zbar_equilibrium(p, M))
     scheme = _resolve_scheme(cfg, p, scale)
     report = ergo.comparison_audit(
         p,

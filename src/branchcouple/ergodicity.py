@@ -17,7 +17,7 @@ residual check that the simulated paths integrate the generator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import integrate
@@ -32,7 +32,7 @@ from .errors import (
     OutOfGrid,
     QuadratureFail,
 )
-from .model import ModelParams, m0_heuristic
+from .model import ModelParams, m0_heuristic, zbar_equilibrium
 from .paths import SimScheme
 
 Z95 = 1.959963984540054
@@ -131,14 +131,7 @@ class RateFit:
     window: tuple[float, float]
 
     def to_dict(self) -> dict:
-        return {
-            "rate": self.rate,
-            "intercept": self.intercept,
-            "r2": self.r2,
-            "rate_se": self.rate_se,
-            "n_used": self.n_used,
-            "window": list(self.window),
-        }
+        return asdict(self)
 
 
 def rate_fit(est: TailEstimate, p_lo: float = 0.01, p_hi: float = 0.9) -> RateFit:
@@ -331,17 +324,6 @@ def cir_hitting_sample(
         "n": int(times.size),
         "frac_censored": frac_censored,
     }
-
-
-def zbar_equilibrium(p: ModelParams, M: float) -> float:
-    """Positive root of the frozen Zbar drift ``(2 k M + a2) z - b2 z^alpha2``
-    (with ``k`` and ``a2`` floored at 0); 1 when ``alpha2 <= 1``."""
-    kpos = max(p.k, 0.0)
-    return (
-        ((2.0 * kpos * M + max(p.a2, 0.0)) / p.b2) ** (1.0 / (p.alpha2 - 1.0))
-        if p.alpha2 > 1
-        else 1.0
-    )
 
 
 def comparison_audit(

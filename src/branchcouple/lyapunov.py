@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -43,7 +43,14 @@ from .errors import (
     QuadratureFail,
 )
 from .levy import CompoundPoisson, LevyMeasure, StableLike, ZeroMeasure
-from .model import ModelParams, noise_floor
+from .model import (
+    ModelParams,
+    drift_root,
+    drift_x,
+    drift_y,
+    noise_floor,
+    zbar_drift,
+)
 
 _QUAD_OPTS = dict(limit=400, epsabs=1e-13, epsrel=1e-12)
 
@@ -227,10 +234,10 @@ def _three_piece(label, beta, kappa0, q, b, alpha) -> ThreePiece:
 def make_f(p: ModelParams, M: float) -> ThreePiece:
     """Absorption Lyapunov function for the frozen dominating process.
 
-    The dominated process has drift ``(2 k M + a2) z - b2 z**alpha2`` (the
-    predation coefficient frozen at its bound below the exit level ``2M``;
-    frozen at zero when ``k <= 0``).  Requires ``alpha2 > 1`` and a noise
-    floor for component 2.
+    The dominated process has drift ``model.zbar_drift``,
+    ``(2 k M + a2) z - b2 z**alpha2`` (the predation coefficient frozen at
+    its bound below the exit level ``2M``; frozen at zero when ``k <= 0``).
+    Requires ``alpha2 > 1`` and a noise floor for component 2.
     """
     if p.alpha2 <= 1.0:
         raise ConditionFails("three-piece construction requires alpha2 > 1")
@@ -471,25 +478,27 @@ def _target_pieces(p: ModelParams, target: str, M: float | None):
     if target == "Zbar":
         if M is None:
             raise InvalidRegion("target 'Zbar' needs the freeze level M")
-        lam = 2.0 * p.k * M + p.a2
-
-        def drift(z):
-            return lam * z - p.b2 * z**p.alpha2
-
-        return drift, p.sigma2, p.n2
+        return (lambda z: zbar_drift(p, M, z)), p.sigma2, p.n2
     if target == "Xdiff":
-
-        def drift(z):
-            return -p.b1 * z**p.alpha1 + p.a1 * z
-
-        return drift, p.sigma1, p.n1
+        return (lambda z: -p.b1 * z**p.alpha1 + p.a1 * z), p.sigma1, p.n1
     if target == "X":
-
-        def drift(z):
-            return -p.b1 * z**p.alpha1 + p.a1 * z + p.gamma1
-
-        return drift, p.sigma1, p.n1
+        return (lambda z: drift_x(p, z)), p.sigma1, p.n1
     raise InvalidRegion("unknown generator target %r (one of %s)" % (target, _TARGETS))
+
+
+def _generator(drift: float, sigma: float, measure: LevyMeasure, V, z: float) -> float:
+    """``drift V'(z) + sigma z V''(z) + z int D_xi V(z) n(dxi)``.
+
+    Raises ``QuadratureFail`` when the jump integral cannot be resolved to
+    absolute tolerance ``1e-9 * (1 + |result|)``.
+    """
+    jump, jerr = jump_integral(measure, V, z)
+    result = drift * float(V.deriv1(z)) + sigma * z * float(V.deriv2(z)) + z * jump
+    if z * jerr > 1e-9 * (1.0 + abs(result)):
+        raise QuadratureFail(
+            "jump integral error %g exceeds tolerance at z=%g" % (z * jerr, z)
+        )
+    return float(result)
 
 
 def eval_generator_1d(
@@ -498,31 +507,21 @@ def eval_generator_1d(
     """Generator of a one-dimensional comparison process applied to V at z.
 
     Targets: ``Zbar`` (frozen dominating process for component 2, drift
-    ``(2kM + a2) z - b2 z**alpha2``), ``Xdiff`` (first-component difference,
-    drift ``-b1 z**alpha1 + a1 z``), ``X`` (full first component).  Raises
-    ``QuadratureFail`` when the jump integral cannot be resolved to absolute
-    tolerance ``1e-9 * (1 + |result|)``.
+    ``model.zbar_drift``), ``Xdiff`` (first-component difference, drift
+    ``-b1 z**alpha1 + a1 z``), ``X`` (full first component, drift
+    ``model.drift_x``).  Raises ``QuadratureFail`` when the jump integral
+    cannot be resolved to absolute tolerance ``1e-9 * (1 + |result|)``.
     """
     drift, sigma, measure = _target_pieces(p, target, M)
     z = float(z)
-    jump, jerr = jump_integral(measure, V, z)
-    result = drift(z) * float(V.deriv1(z)) + sigma * z * float(V.deriv2(z)) + z * jump
-    if z * jerr > 1e-9 * (1.0 + abs(result)):
-        raise QuadratureFail(
-            "jump integral error %g exceeds tolerance at z=%g" % (z * jerr, z)
-        )
-    return float(result)
+    return _generator(drift(z), sigma, measure, V, z)
 
 
 def eval_generator_xy(p: ModelParams, u, v, x: float, y: float) -> float:
     """Full two-dimensional generator on a separable function u(x) + v(y)."""
     x, y = float(x), float(y)
     part_x = eval_generator_1d(p, u, x, "X") if x > 0 else p.gamma1 * float(u.deriv1(x))
-    jump2, jerr2 = jump_integral(p.n2, v, y)
-    drift2 = p.k * x * y - p.b2 * y**p.alpha2 + p.a2 * y + p.gamma2
-    part_y = drift2 * float(v.deriv1(y)) + p.sigma2 * y * float(v.deriv2(y)) + y * jump2
-    if y * jerr2 > 1e-9 * (1.0 + abs(part_y)):
-        raise QuadratureFail("jump integral error exceeds tolerance at y=%g" % y)
+    part_y = _generator(drift_y(p, x, y, p.gamma2), p.sigma2, p.n2, v, y)
     return part_x + part_y
 
 
@@ -620,13 +619,7 @@ class BarrierReport:
     valid: bool
 
     def to_dict(self) -> dict:
-        return {
-            "M": self.M,
-            "drift_root": self.drift_root,
-            "min_drift_term": self.min_drift_term,
-            "prob_lower_bound": self.prob_lower_bound,
-            "valid": self.valid,
-        }
+        return asdict(self)
 
 
 def certify_exit_barrier(p: ModelParams, M: float, n_grid: int = 128) -> BarrierReport:
@@ -637,8 +630,6 @@ def certify_exit_barrier(p: ModelParams, M: float, n_grid: int = 128) -> Barrier
     lower-bounds the probability of exiting below:
     ``(w(3M/2) - w(2M)) / (sup w - w(2M)) = 1/10``.
     """
-    from .model import drift_root, drift_x
-
     w = make_w(M)
     x0 = drift_root(p)
     grid = np.linspace(M, 2.0 * M, n_grid)

@@ -2,18 +2,24 @@
 
 The system is
 
-    dX = (-b1 X^alpha1 + a1 X + gamma1) dt + branching noise (sigma1, n1)
-    dY = (k X Y - b2 Y^alpha2 + a2 Y + gamma2) dt + branching noise (sigma2, n2)
+    dX = drift_x(X) dt + branching noise (sigma1, n1)
+    dY = drift_y(X, Y, gamma2) dt + branching noise (sigma2, n2)
 
-with state-proportional diffusion ``sqrt(2 sigma_i * state)`` and jump
-intensity ``state * n_i(dxi)``.  Standing assumptions: ``b_i > 0``,
-``gamma_i > 0``, ``sigma_i >= 0``, ``alpha_i > 0``; ``a_i`` and ``k`` are
-unrestricted.
+with the prey drift ``drift_x(x) = -b1 x^alpha1 + a1 x + gamma1``, the
+predator drift ``drift_y(x, y, gamma) = k x y - b2 y^alpha2 + a2 y + gamma``,
+state-proportional diffusion ``sqrt(2 sigma_i * state)`` and jump intensity
+``state * n_i(dxi)``.  Standing assumptions: ``b_i > 0``, ``gamma_i > 0``,
+``sigma_i >= 0``, ``alpha_i > 0``; ``a_i`` and ``k`` are unrestricted.
+
+The dominating process Zbar of the second-component difference freezes the
+predation gain ``k x`` at its supremum over ``x in [0, 2M]``: ``2 k M`` when
+``k > 0`` and ``0`` when ``k <= 0``.  Its linear rate is ``zbar_rate`` and
+its drift ``zbar_drift(z) = zbar_rate z - b2 z^alpha2`` (no immigration).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConditionFails, InvalidParams, NotApplicable
 from .levy import LevyMeasure, ZeroMeasure, measure_from_config
@@ -44,29 +50,14 @@ class ModelParams:
         raise ValueError("component index must be 1 or 2")
 
     def to_config(self) -> dict:
-        return {
-            "b1": self.b1,
-            "a1": self.a1,
-            "alpha1": self.alpha1,
-            "gamma1": self.gamma1,
-            "sigma1": self.sigma1,
-            "n1": self.n1.to_config(),
-            "b2": self.b2,
-            "a2": self.a2,
-            "alpha2": self.alpha2,
-            "gamma2": self.gamma2,
-            "sigma2": self.sigma2,
-            "n2": self.n2.to_config(),
-            "k": self.k,
-        }
+        cfg = {f.name: getattr(self, f.name) for f in fields(self)}
+        cfg.update(n1=self.n1.to_config(), n2=self.n2.to_config())
+        return cfg
 
 
 def params_from_config(cfg: dict) -> ModelParams:
     """Build ``ModelParams`` from a config dict, naming any offending key."""
-    required = [
-        "b1", "a1", "alpha1", "gamma1", "sigma1",
-        "b2", "a2", "alpha2", "gamma2", "sigma2", "k",
-    ]
+    required = [f.name for f in fields(ModelParams) if f.name not in ("n1", "n2")]
     missing = [key for key in required if key not in cfg]
     if missing:
         raise InvalidParams("model config missing keys: %s" % ", ".join(missing))
@@ -94,13 +85,7 @@ class ConditionReport:
     uniform_ergodicity_expected: bool
 
     def to_dict(self) -> dict:
-        return {
-            "cond_i_1": self.cond_i_1,
-            "cond_i_2": self.cond_i_2,
-            "cond_ii_1": self.cond_ii_1,
-            "cond_ii_2": self.cond_ii_2,
-            "uniform_ergodicity_expected": self.uniform_ergodicity_expected,
-        }
+        return asdict(self)
 
 
 def validate(p: ModelParams) -> ConditionReport:
@@ -136,6 +121,31 @@ def validate(p: ModelParams) -> ConditionReport:
 def drift_x(p: ModelParams, x):
     """Drift of the first component, ``-b1 x^alpha1 + a1 x + gamma1``."""
     return -p.b1 * x**p.alpha1 + p.a1 * x + p.gamma1
+
+
+def drift_y(p: ModelParams, x, y, gamma):
+    """Drift of the second component with immigration ``gamma``,
+    ``k x y - b2 y^alpha2 + a2 y + gamma``; ``gamma = 0`` drives Z."""
+    return p.k * x * y - p.b2 * y**p.alpha2 + p.a2 * y + gamma
+
+
+def zbar_rate(p: ModelParams, M: float) -> float:
+    """Linear rate of Zbar: the predation gain ``k x`` frozen at its
+    supremum over ``x in [0, 2M]`` plus ``a2``."""
+    return 2.0 * max(p.k, 0.0) * M + p.a2
+
+
+def zbar_drift(p: ModelParams, M: float, z):
+    """Drift of the dominating process Zbar frozen at level ``M``."""
+    return zbar_rate(p, M) * z - p.b2 * z**p.alpha2
+
+
+def zbar_equilibrium(p: ModelParams, M: float) -> float:
+    """Positive root of ``zbar_drift`` (``zbar_rate`` floored at 0); 1 when
+    ``alpha2 <= 1``."""
+    if p.alpha2 <= 1:
+        return 1.0
+    return (max(zbar_rate(p, M), 0.0) / p.b2) ** (1.0 / (p.alpha2 - 1.0))
 
 
 def drift_root(p: ModelParams, rel_tol: float = 1e-12) -> float:

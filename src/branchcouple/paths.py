@@ -38,14 +38,14 @@ substep whatever the events, so paths inside a batch never desynchronize.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from multiprocessing import get_context
 
 import numpy as np
 
 from .errors import InvalidParams, StepExplosion
 from .levy import LevyMeasure, ZeroMeasure, suggest_cutoff
-from .model import ModelParams
+from .model import ModelParams, drift_x, drift_y, zbar_drift, zbar_rate
 
 BATCH = 4096
 _MAX_SUBSTEPS = 20_000
@@ -128,28 +128,7 @@ class SimScheme:
         )
 
     def to_config(self) -> dict:
-        return {
-            "dt": self.dt,
-            "horizon": self.horizon,
-            "jump_cutoff": self.jump_cutoff,
-            "small_jump_mode": self.small_jump_mode,
-            "meet_tol": self.meet_tol,
-            "state_cap": self.state_cap,
-        }
-
-
-def scheme_from_config(cfg: dict) -> SimScheme:
-    try:
-        return SimScheme(
-            dt=float(cfg["dt"]),
-            horizon=float(cfg["horizon"]),
-            jump_cutoff=float(cfg.get("jump_cutoff", 1.0)),
-            small_jump_mode=cfg.get("small_jump_mode", "gaussian"),
-            meet_tol=float(cfg.get("meet_tol", 1e-4)),
-            state_cap=float(cfg.get("state_cap", 1e6)),
-        )
-    except KeyError as exc:
-        raise InvalidParams("scheme config needs 'dt' and 'horizon'") from exc
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -162,12 +141,9 @@ class _Channel:
     tlm: float  # compensator of the thinned jumps per unit state
     ar_var: float  # variance of the sub-cutoff Gaussian per unit state
     eps: float
-    jumps: bool = True  # draws the (fire, size) uniforms of each gap
 
     @staticmethod
-    def build(
-        sigma: float, measure: LevyMeasure, scheme: SimScheme, jumps: bool = True
-    ) -> "_Channel":
+    def build(sigma: float, measure: LevyMeasure, scheme: SimScheme) -> "_Channel":
         eps = scheme.jump_cutoff
         lam = float(measure.tail_mass(eps))
         tlm = float(measure.tail_linear_moment(eps))
@@ -177,8 +153,7 @@ class _Channel:
             else 0.0
         )
         return _Channel(
-            sigma=float(sigma), measure=measure, lam=lam, tlm=tlm, ar_var=ar, eps=eps,
-            jumps=jumps,
+            sigma=float(sigma), measure=measure, lam=lam, tlm=tlm, ar_var=ar, eps=eps
         )
 
     def sizes(self, u: np.ndarray) -> np.ndarray:
@@ -282,8 +257,9 @@ def _sheet(ch: _Channel, levels: np.ndarray, h: float, rng) -> tuple:
     its own thinned jump; a consumer receives the cumulative sum of the gaps
     up to its level, so consumers at equal levels receive equal increments.
     The Gaussians are drawn as ``(c, n)`` blocks, then a (fire, size) pair
-    of uniform arrays per gap whether or not anything fires.  Returns the
-    Gaussian and the jump increments, both of shape ``(c, n)``.
+    of uniform arrays per gap whether or not anything fires; a zero measure
+    draws no uniforms.  Returns the Gaussian and the jump increments, both of
+    shape ``(c, n)``.
     """
     c, n = levels.shape
     gaps, rank = levels, None
@@ -307,7 +283,7 @@ def _sheet(ch: _Channel, levels: np.ndarray, h: float, rng) -> tuple:
     if ch.ar_var > 0.0:
         gauss = gauss + np.sqrt(ch.ar_var * gaps * h) * rng.standard_normal((c, n))
     jumps = np.zeros((c, n))
-    for i in range(c if ch.jumps else 0):
+    for i in range(0 if ch.measure.is_zero else c):
         fire = rng.random(n) < gaps[i] * ch.lam * h
         u = rng.random(n)
         if np.any(fire):
@@ -336,7 +312,8 @@ class _Batch:
     single consumer.  ``drift(S, k)`` returns one row per component at step
     ``k``; ``rates(top, k)`` returns the jump rate and the drift stiffness
     from the per-component maxima over live paths.  ``finals`` names the
-    outputs holding the final state of a row.
+    outputs holding the final state of a row; ``last`` keeps the frozen
+    state of the paths compaction dropped.
     """
 
     ov = None  # projection overshoots of the comparison processes
@@ -352,6 +329,7 @@ class _Batch:
         self.n = S.shape[1]
         self.alive = np.ones(self.n, dtype=bool)
         self.idx = np.arange(self.n)  # slot of each working path
+        self.last = np.full(S.shape, np.nan)
         self.out: dict = {}
         self.events: list[PathEvent] = []
 
@@ -360,7 +338,7 @@ class _Batch:
         return full if self.idx.size == self.n else full[self.idx]
 
     def final(self, row: int) -> np.ndarray:
-        full = np.full(self.n, np.nan)
+        full = self.last[row].copy()
         full[self.idx] = self.S[row]
         return full
 
@@ -411,6 +389,7 @@ def _loop(b: _Batch, rng: np.random.Generator) -> dict:
         if b.record:
             rec[k + 1] = b.S.T
         elif b.compact and k % 64 == 63 and np.mean(b.alive) < 0.5:
+            b.last[:, b.idx[~b.alive]] = b.S[:, ~b.alive]
             b.S, b.idx = b.S[:, b.alive], b.idx[b.alive]
             b.alive = np.ones(b.idx.size, dtype=bool)
     for rule in b.rules:
@@ -672,14 +651,6 @@ class _Audit(_Rule):
 # engines
 
 
-def _pred(p, x):
-    return -p.b1 * x**p.alpha1 + p.a1 * x + p.gamma1
-
-
-def _prey(p, x, y, gamma):
-    return p.k * x * y - p.b2 * y**p.alpha2 + p.a2 * y + gamma
-
-
 def _system(p, scheme, truncation, x_only, low, high, retire, record, dynkin, x0, y0):
     """Independent (X, Y) paths on two one-consumer sheets.
 
@@ -698,9 +669,9 @@ def _system(p, scheme, truncation, x_only, low, high, retire, record, dynkin, x0
     def drift(S, k):
         x, y = S
         if x_only:
-            return np.stack([_pred(p, x), np.zeros_like(y)])
+            return np.stack([drift_x(p, x), np.zeros_like(y)])
         xeff = np.minimum(x, truncation) if truncation is not None else x
-        return np.stack([_pred(p, x), _prey(p, xeff, y, p.gamma2)])
+        return np.stack([drift_x(p, x), drift_y(p, xeff, y, p.gamma2)])
 
     def rates(top, k):
         mx, my = top
@@ -745,7 +716,7 @@ def _coupled(
             raise InvalidParams("aux comparison runs need x0 == xt0")
         if np.any(y0 < yt0):
             raise InvalidParams("aux comparison runs need y0 >= yt0")
-        lam_bar = 2.0 * p.k * M + p.a2
+        lam_bar = zbar_rate(p, M)
         rows += [y0 - yt0, y0 - yt0]
         # Y - Yt, Z and Zbar in the difference frame, above the base at Yt
         diff = lambda S: np.maximum(np.stack([S[2] - S[3], S[4], S[5]]), 0.0)
@@ -755,10 +726,10 @@ def _coupled(
 
     def drift(S, k):
         x, xt, y, yt = S[:4]
-        d = [_pred(p, x), _pred(p, xt), _prey(p, x, y, p.gamma2)]
-        d.append(_prey(p, xt, yt, p.gamma2))
+        d = [drift_x(p, x), drift_x(p, xt), drift_y(p, x, y, p.gamma2)]
+        d.append(drift_y(p, xt, yt, p.gamma2))
         if with_aux:
-            d += [_prey(p, x, S[4], 0.0), lam_bar * S[5] - p.b2 * S[5] ** p.alpha2]
+            d += [drift_y(p, x, S[4], 0.0), zbar_drift(p, M, S[5])]
         return np.stack(d)
 
     def rates(top, k):
@@ -787,9 +758,8 @@ def _coupled(
 
 
 def _scalar(scheme, z0, sigma, measure, drift, stiff, stop):
-    """One consumer on one sheet, stopped by ``stop`` or the cap; a zero
-    measure draws no jump uniforms here."""
-    ch = _Channel.build(sigma, measure, scheme, jumps=not measure.is_zero)
+    """One consumer on one sheet, stopped by ``stop`` or the cap."""
+    ch = _Channel.build(sigma, measure, scheme)
     sheets = [(ch, lambda S: S, slice(0, 1))]
     S = np.array([z0], dtype=float)
 
@@ -801,13 +771,13 @@ def _scalar(scheme, z0, sigma, measure, drift, stiff, stop):
 
 def _zbar(p, M, scheme, z0):
     """Dominating frozen process, absorbed at ``meet_tol``."""
-    lam_bar = 2.0 * p.k * M + p.a2
+    lam_bar = zbar_rate(p, M)
     return _scalar(
         scheme,
         z0,
         p.sigma2,
         p.n2,
-        lambda z, k: lam_bar * z - p.b2 * z**p.alpha2,
+        lambda z, k: zbar_drift(p, M, z),
         lambda mz, k: p.b2 * mz ** (p.alpha2 - 1.0) + abs(lam_bar),
         _Absorb(0, "hitting", True),
     )
@@ -824,7 +794,7 @@ def _zdriver(p, xpath, scheme, z0):
         z0,
         p.sigma2,
         p.n2,
-        lambda z, k: _prey(p, xk(k), z, 0.0),
+        lambda z, k: drift_y(p, xk(k), z, 0.0),
         lambda mz, k: p.b2 * mz ** (p.alpha2 - 1.0) + abs(p.a2) + abs(p.k) * xk(k),
         _Absorb(0, "hitting", True),
     )

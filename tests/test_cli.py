@@ -127,6 +127,40 @@ def test_empty_coupling_tail_inits_exit_2(tmp_path, capsys):
     assert "inits" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key,value", [("dt", '"abc"'), ("jump_cutoff", '"x"'), ("meet_tol", '"abc"')]
+)
+def test_non_numeric_scheme_value_exits_2(tmp_path, capsys, key, value):
+    code, _ = _run(tmp_path, "simulate", "--set", "scheme.%s=%s" % (key, value))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert key in err
+    assert "Traceback" not in err
+
+
+def test_jump_cutoff_overrides_only_the_cutoff(tmp_path):
+    # a finite-activity second component: the automatic scheme picks the
+    # compensator mode and a scale-dependent meeting tolerance
+    argv = [
+        "simulate",
+        "--set",
+        'model.n2={"family": "cpp", "lambda": 2.0, "size": 0.5}',
+        "--set",
+        "scheme.horizon=0.2",
+        "--set",
+        "experiment.init=[3.0, 1.0]",
+    ]
+    code, out = _run(tmp_path, *argv)
+    assert code == 0
+    plain = _load(out)["scheme"]
+    code, out = _run(tmp_path, *argv, "--set", "scheme.jump_cutoff=0.25")
+    assert code == 0
+    cut = _load(out)["scheme"]
+    assert cut["jump_cutoff"] == 0.25
+    for key in ("meet_tol", "small_jump_mode", "dt", "horizon", "state_cap"):
+        assert cut[key] == plain[key]
+
+
 def test_bad_set_syntax_exits_2(tmp_path, capsys):
     code, _ = _run(tmp_path, "simulate", "--set", "noequalsign")
     assert code == 2

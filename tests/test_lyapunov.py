@@ -5,6 +5,7 @@ C^2 gluing passes at rounding level while any genuine discontinuity in the
 function or its derivatives shows up at order one.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -179,6 +180,14 @@ def test_eval_generator_square_closed_form(ref):
     )
     got = eval_generator_1d(ref, V, z, "Zbar", M=M)
     assert got == pytest.approx(want, rel=1e-10)
+
+
+def test_eval_generator_zbar_freezes_negative_predation_at_zero(ref):
+    p = dataclasses.replace(ref, k=-0.5)
+    for z in (0.3, 2.0, 8.0):
+        got = eval_generator_1d(p, identity_hook(), z, "Zbar", 2.0)
+        want = p.a2 * z - p.b2 * z**p.alpha2
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_eval_generator_zbar_requires_level(ref):

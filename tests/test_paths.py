@@ -17,7 +17,6 @@ from branchcouple.paths import (
     mc_coupled,
     mc_system,
     mc_zbar,
-    scheme_from_config,
     simulate_aux_Z,
     simulate_aux_Zbar,
     simulate_cbipc,
@@ -53,7 +52,7 @@ def test_stream_is_keyed_and_validated():
 
 def test_scheme_validation_and_round_trip():
     s = SimScheme(dt=1e-3, horizon=2.0, jump_cutoff=0.7, meet_tol=1e-3)
-    assert scheme_from_config(s.to_config()) == s
+    assert SimScheme(**s.to_config()) == s
     assert s.n_steps == 2000
     with pytest.raises(InvalidParams):
         SimScheme(dt=0.0, horizon=1.0)
@@ -61,8 +60,6 @@ def test_scheme_validation_and_round_trip():
         SimScheme(dt=1e-3, horizon=1.0, small_jump_mode="huh")
     with pytest.raises(InvalidParams):
         SimScheme(dt=1e-3, horizon=1.0, meet_tol=0.0)
-    with pytest.raises(InvalidParams):
-        scheme_from_config({"dt": 1e-3})
 
 
 def test_scheme_auto_sizes_the_cutoff(ref):
@@ -191,6 +188,19 @@ def test_compaction_keeps_slot_alignment(ref):
     assert np.all(out["t_x"] <= out["t_full"])
     met = np.isfinite(out["t_full"][n_met:])
     assert np.mean(met) > 0.5
+
+
+def test_retired_paths_keep_their_final_state_across_compaction():
+    # nearly every path retires below 1.5, so the batch compacts; a retired
+    # path reads its frozen state whether or not a compaction came after it
+    sch = SimScheme.auto(REF, 2e-3, 2.0, scale=10.0)
+    out = mc_system(
+        REF, sch, np.full(2000, 3.0), None, 5, x_only=True, low=1.5, retire="low"
+    )
+    retired = np.isfinite(out["tau_minus"])
+    assert np.sum(retired) > 1000
+    assert np.all(np.isfinite(out["final_x"]))
+    assert np.all(out["final_x"][retired] <= 1.5)
 
 
 def test_truncated_batch_is_bitwise_when_nothing_crosses(ref):
@@ -335,6 +345,19 @@ def test_aux_dominating_processes(ref):
     gz = simulate_aux_Z(ref, sch_short, driver, 0.5, stream(8, 1))
     z_time = gz.stopping.zeta0
     assert z_time == 0.0 or z_time > 0.0  # recorded, possibly censored (inf)
+
+
+def test_zbar_dominates_z_under_negative_predation():
+    # with k <= 0 the predation gain freezes at 0, so the noiseless Zbar
+    # (rate a2) stays above Z (rate k x + a2) and is never projected up
+    p = _with(NOISELESS, k=-0.5)
+    sch = SimScheme(dt=1e-3, horizon=2.0)
+    ones = np.ones(4)
+    out = mc_coupled(
+        p, sch, 2.0 * ones, 2.0 * ones, 1.5 * ones, 0.2 * ones, seed=3,
+        M=2.0, with_aux=True, audit=True, high=4.0,
+    )
+    assert out["viol_zbar_cnt"].sum() == 0
 
 
 def test_cir_bridge_mean_hits_logarithm():
