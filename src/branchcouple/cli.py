@@ -98,27 +98,27 @@ def _resolve_config(args) -> dict:
     return cfg
 
 
+def _scheme_number(sc: dict, key: str, default=None):
+    value = sc.get(key, default)
+    try:
+        return None if value is None else float(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParams("scheme key %s must be a number" % key) from exc
+
+
 def _resolve_scheme(cfg: dict, p: model.ModelParams, scale_hint: float) -> paths.SimScheme:
     """``SimScheme.auto`` at the experiment's scale; a scheme key that is set
     overrides only its own value."""
     sc = cfg["scheme"]
-
-    def number(key, default=None):
-        value = sc.get(key, default)
-        try:
-            return None if value is None else float(value)
-        except (TypeError, ValueError) as exc:
-            raise InvalidParams("scheme key %s must be a number" % key) from exc
-
     return paths.SimScheme.auto(
         p,
-        number("dt", 1e-3),
-        number("horizon", 20.0),
+        _scheme_number(sc, "dt", 1e-3),
+        _scheme_number(sc, "horizon", 20.0),
         scale=scale_hint,
-        meet_tol=number("meet_tol"),
-        state_cap=number("state_cap", 1e6),
+        meet_tol=_scheme_number(sc, "meet_tol"),
+        state_cap=_scheme_number(sc, "state_cap", 1e6),
         small_jump_mode=sc.get("small_jump_mode"),
-        jump_cutoff=number("jump_cutoff"),
+        jump_cutoff=_scheme_number(sc, "jump_cutoff"),
     )
 
 
@@ -284,6 +284,10 @@ def cmd_drift_check(cfg, args, p, files):
             results["t0"] = lyapunov.budget_from(V.sup_value(), cert.certified_C)
         except (InvalidCertificate, OverflowError) as exc:
             results["t0_unavailable"] = str(exc)
+        else:
+            # a budget beyond the horizon of the runs it would bound says nothing
+            horizon = _scheme_number(cfg["scheme"], "horizon", 20.0)
+            results["t0_vacuous"] = results["t0"] > horizon
     if not cert.valid:
         raise InvalidCertificate(
             "drift certificate for %s on %s is not valid (C=%g)"

@@ -424,8 +424,8 @@ def generator_residual(
     x_hi, y_hi = region
     x_nodes = np.linspace(0.0, x_hi, n_nodes)
     y_nodes = np.linspace(0.0, y_hi, n_nodes)
-    a_vals = np.array([eval_generator_xy(p, sq, zero, float(x), 0.0) for x in x_nodes])
-    b_vals = np.array([eval_generator_xy(p, zero, sq, 0.0, float(y)) for y in y_nodes])
+    a_vals = eval_generator_xy(p, sq, zero, x_nodes, 0.0)
+    b_vals = eval_generator_xy(p, zero, sq, 0.0, y_nodes)
     x0, y0 = init
     out = sim.mc_system(
         p,
@@ -459,7 +459,8 @@ def localize_report(
     coupling started from the worst corner of the box [0, M]^2, (3) direct
     far-start coupling versus the product of the first two lower bounds.
     Certified time budgets from the drift certificates are attached when
-    they are computable at this M.
+    they are computable at this M, each flagged ``t0_vacuous`` when it
+    exceeds the scheme's horizon.
     """
     if M is None:
         M = m0_heuristic(p)
@@ -469,7 +470,12 @@ def localize_report(
     for target in ("Xdiff", "Zbar"):
         try:
             b = meeting_time_budget(p, M, target=target)
-            budgets[target] = {"t0": b.t0, "sup_value": b.sup_value, "certified_C": b.certified_C}
+            budgets[target] = {
+                "t0": b.t0,
+                "t0_vacuous": b.t0 > scheme.horizon,
+                "sup_value": b.sup_value,
+                "certified_C": b.certified_C,
+            }
         except (InvalidCertificate, OverflowError) as exc:
             budgets[target] = {"unavailable": str(exc)}
 

@@ -22,19 +22,24 @@ Taylor remainder,
     K(s) = int_s^inf (xi - s) n(dxi),
 
 which is free of cancellation (no small differences of nearly equal function
-values) and leaves a single integrable endpoint singularity that adaptive
-quadrature handles directly.
+values).  For a stable-like measure ``K(s) = A s^(1-theta) + B + C s``; the
+singular part is integrated in ``r = s^(2-theta)``, where
+``s^(1-theta) ds/dr = 1/(2-theta)`` is constant, so the endpoint singularity
+cancels in closed form, and the polynomial part in s.  Each node's range is
+cut into cells at the kinks of V, on a ratio-2 grading around the node, and
+(for the three-piece functions) across the exponential piece and from the
+pole of the power tail; every cell of every node goes through one fixed
+21-point Gauss-Kronrod rule in a single array pass, and the error estimate
+is the sum over the cells of ``|Kronrod - embedded Gauss|``.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     ConditionFails,
@@ -42,7 +47,7 @@ from .errors import (
     InvalidRegion,
     QuadratureFail,
 )
-from .levy import CompoundPoisson, LevyMeasure, StableLike, ZeroMeasure
+from .levy import CompoundPoisson, LevyMeasure, ZeroMeasure
 from .model import (
     ModelParams,
     drift_root,
@@ -51,8 +56,6 @@ from .model import (
     noise_floor,
     zbar_drift,
 )
-
-_QUAD_OPTS = dict(limit=400, epsabs=1e-13, epsrel=1e-12)
 
 
 @dataclass(frozen=True)
@@ -345,6 +348,11 @@ class SmoothingFamily:
             raise InvalidRegion("smoothing index must be >= 1")
 
     @property
+    def kinks(self) -> tuple:
+        """Where V'' jumps: the ends of the support of the log kernel."""
+        return (self.lower, self.upper)
+
+    @property
     def lower(self) -> float:
         return math.exp(-self.n * (self.n + 1) / 2.0)
 
@@ -395,80 +403,161 @@ def make_smoothing(n: int) -> SmoothingFamily:
 # generator evaluation
 
 
-def _remainder_kernel(measure: StableLike):
-    """K(s) = int_s^U (xi - s) n(dxi) in closed form for stable-like."""
+# QUADPACK's 21-point Gauss-Kronrod pair (qk21; Piessens et al. 1983): the
+# non-negative Kronrod abscissae on [-1, 1] in decreasing order, their
+# weights, and the weights of the embedded 10-point Gauss rule, which uses
+# every second abscissa.
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077600525103948, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_WG = np.array([
+    0.0, 0.066671344308688137593568809893332,
+    0.0, 0.149451349150580593145776339657697,
+    0.0, 0.219086362515982043995534934228163,
+    0.0, 0.269266719309996355091226921569469,
+    0.0, 0.295524224714752870173892994651338,
+    0.0,
+])
+_X21 = np.concatenate([-_XGK[:-1], _XGK[::-1]])
+_WK21 = np.concatenate([_WGK[:-1], _WGK[::-1]])
+_WG21 = np.concatenate([_WG[:-1], _WG[::-1]])
+
+# Breakpoints z 2^k of the geometric grading around a node z: up to the far
+# end of an untruncated measure, and down toward s = 0, where
+# V''(z + r^(1/(2-theta))) is not smooth in r unless 1/(2-theta) is an integer.
+_GRADING = 2.0 ** np.arange(-32, 61)
+# Geometric grading of the power tail of a three-piece function from its pole.
+_POLE_GRADING = 2.0 ** np.arange(61)
+# Cells of two decay lengths across the exponential piece past max(z, l0);
+# beyond 64 decay lengths V'' is below exp(-64) of its value there.
+_EXP_CELLS = 32
+# Cells per vectorized evaluation (21 points each), which bounds the memory.
+_CHUNK = 256
+# Absolute tolerance of z * (jump integral error), relative to 1 + |LV|.
+_QUAD_TOL = 1e-9
+
+
+def _kernel(measure):
+    """``(A, B, C, theta, upper)`` with ``K(s) = A s^(1-theta) + B + C s``
+    on ``(0, upper)``, ``K(s) = int_s^inf (xi - s) n(dxi)``."""
+    if isinstance(measure, CompoundPoisson):  # A = 0: theta is never used
+        return 0.0, measure.rate * measure.size, -measure.rate, 1.0, measure.size
     c, theta, u = measure.c, measure.theta, measure.truncation
-
+    a = c / (theta * (theta - 1.0))
     if u is None:
-
-        def kernel(s):
-            return c * s ** (1.0 - theta) / (theta * (theta - 1.0))
-
-    else:
-        u1 = u ** (1.0 - theta)
-        u0 = u**-theta
-
-        def kernel(s):
-            if s >= u:
-                return 0.0
-            return c * (
-                (s ** (1.0 - theta) - u1) / (theta - 1.0)
-                - s * (s**-theta - u0) / theta
-            )
-
-    return kernel
+        return a, 0.0, 0.0, theta, math.inf
+    return a, -c * u ** (1.0 - theta) / (theta - 1.0), c * u**-theta / theta, theta, u
 
 
-def _quad_sum(fn, lo, hi, splits):
-    """Integrate fn over (lo, hi) splitting at interior points; hi may be inf."""
-    splits = sorted(s for s in splits if lo < s < hi)
-    total, err = 0.0, 0.0
-    edges = [lo] + splits
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        if math.isinf(hi):
-            far = max(edges[-1] * 2.0, edges[-1] + 1.0, 1.0)
-            for a, b in zip(edges, edges[1:] + [far]):
-                v, e = quad(fn, a, b, **_QUAD_OPTS)
-                total += v
-                err += e
-            v, e = quad(fn, far, np.inf, **_QUAD_OPTS)
-            total += v
-            err += e
-        else:
-            for a, b in zip(edges, edges[1:] + [hi]):
-                v, e = quad(fn, a, b, **_QUAD_OPTS)
-                total += v
-                err += e
-    return total, err
+def _cell_plan(V, z, upper):
+    """Cells ``(node, a, b)`` in the jump size s covering (0, upper) per node.
+
+    Breakpoints: the kinks of V; the grading ``z 2^k`` (ratio 2), because
+    V'' of every function here is singular at ``s = -z`` or further left;
+    and for a three-piece function cells of two decay lengths across the
+    exponential piece and a ratio-2 grading of the power tail from its pole
+    (where ``c1 (x - l1) + l1 = 0``).  Under an untruncated measure the last
+    cell is ``[z 2^60, inf)``.  Cells come out node by node, in order.
+    """
+    n = z.size
+    scale = np.where(z > 0.0, z, 1.0)[:, None]  # a node at 0 has no scale
+    cols = [scale * _GRADING]
+    cols += [np.full((n, 1), k) - z[:, None] for k in getattr(V, "kinks", ())]
+    if isinstance(V, ThreePiece):
+        cell = 2.0 * V.l0 / (1.0 - V.beta)
+        first = np.floor((np.maximum(z, V.l0) - V.l0) / cell)
+        x_exp = V.l0 + cell * (first[:, None] + np.arange(1, _EXP_CELLS + 1))
+        cols.append(np.where(x_exp < V.l1, x_exp, -math.inf) - z[:, None])
+        pole = V.l1 - V.l1 / V.c1
+        cols.append(pole + (V.l1 - pole) * _POLE_GRADING - z[:, None])
+    top = np.full((n, 1), upper) if math.isfinite(upper) else scale * _GRADING[-1]
+    pts = np.concatenate(cols, axis=1)
+    pts = np.where((pts > 0.0) & (pts < top), pts, top)
+    pts.sort(axis=1)
+    edges = [np.zeros((n, 1)), pts, top]
+    if not math.isfinite(upper):
+        edges.append(np.full((n, 1), math.inf))
+    edges = np.concatenate(edges, axis=1)
+    a, b = edges[:, :-1], edges[:, 1:]
+    keep = b > a
+    node = np.broadcast_to(np.arange(n)[:, None], a.shape)[keep]
+    return node, a[keep], b[keep]
 
 
-def jump_integral(measure: LevyMeasure, V, z: float) -> tuple[float, float]:
-    """(value, error estimate) of ``int D_xi V(z) n(dxi)`` at a point.
+def _integrand(V, kernel, z, a, b):
+    """Integrand times Jacobian at the 21 rule points of each cell.
+
+    The part ``A s^(1-theta)`` of the kernel is integrated in
+    ``r = s^(2-theta)``, where ``s^(1-theta) ds/dr = 1/(2-theta)``, so the
+    endpoint singularity cancels in closed form; a cell ``[a, inf)`` maps
+    onto (0, 1] by ``r = a^(2-theta) / t``.  The polynomial part ``B + C s``
+    is integrated in s.
+    """
+    coef, lin0, lin1, theta, _ = kernel
+    zc = z[:, None]
+    out = np.zeros((a.size, _X21.size))
+    if lin0 or lin1:
+        half = 0.5 * (b - a)[:, None]
+        s = 0.5 * (a + b)[:, None] + half * _X21
+        out += V.deriv2(zc + s) * (lin0 + lin1 * s) * half
+    if coef:
+        q = 2.0 - theta
+        tail = np.isinf(b)
+        ra = a**q
+        rb = np.where(tail, a, b) ** q
+        half = 0.5 * (rb - ra)[:, None]
+        r = 0.5 * (ra + rb)[:, None] + half * _X21
+        jac = np.repeat(half, _X21.size, axis=1)
+        if tail.any():
+            t = 0.5 * (1.0 + _X21)
+            r[tail] = ra[tail, None] / t
+            jac[tail] = 0.5 * ra[tail, None] / t**2
+        out += V.deriv2(zc + r ** (1.0 / q)) * (coef / q) * jac
+    return out
+
+
+def _shaped(z, out):
+    """A float for a scalar ``z``, else ``out`` in the shape of ``z``."""
+    return float(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
+
+
+def jump_integral(measure: LevyMeasure, V, z):
+    """(value, error estimate) of ``int D_xi V(z) n(dxi)`` at the nodes z.
 
     ``D_xi V(z) = V(z+xi) - V(z) - xi V'(z)`` is integrated through the
     remainder form ``int V''(z+s) K(s) ds`` so the result never involves
-    differences of nearly equal values of V.
+    differences of nearly equal values of V.  Every cell of every node goes
+    through one fixed Gauss-Kronrod pair (K21 with its embedded G10); the
+    value is the Kronrod sum and the error the sum of ``|K21 - G10|`` over
+    the cells.  Floats for a scalar ``z``, arrays in its shape otherwise.
     """
-    z = float(z)
-    if isinstance(measure, ZeroMeasure):
-        return 0.0, 0.0
-    kinks = [k - z for k in getattr(V, "kinks", ()) if k - z > 0.0]
-    if isinstance(measure, CompoundPoisson):
-        s0 = measure.size
-
-        def fn(r):
-            return (s0 - r) * float(V.deriv2(z + r))
-
-        value, err = _quad_sum(fn, 0.0, s0, kinks)
-        return measure.rate * value, measure.rate * err
-    kernel = _remainder_kernel(measure)
-
-    def fn(s):
-        return float(V.deriv2(z + s)) * kernel(s)
-
-    upper = measure.truncation if measure.truncation is not None else math.inf
-    return _quad_sum(fn, 0.0, upper, kinks)
+    zs = np.asarray(z, dtype=float).ravel()
+    value, err = np.zeros_like(zs), np.zeros_like(zs)
+    if not isinstance(measure, ZeroMeasure):
+        kernel = _kernel(measure)
+        node, a, b = _cell_plan(V, zs, kernel[-1])
+        kron, diff = np.empty(a.size), np.empty(a.size)
+        for lo in range(0, a.size, _CHUNK):
+            cut = slice(lo, lo + _CHUNK)
+            vals = _integrand(V, kernel, zs[node[cut]], a[cut], b[cut])
+            kron[cut] = (vals * _WK21).sum(axis=1)
+            diff[cut] = np.abs(kron[cut] - (vals * _WG21).sum(axis=1))
+        value = np.bincount(node, kron, zs.size)
+        err = np.bincount(node, diff, zs.size)
+    return _shaped(z, value), _shaped(z, err)
 
 
 _TARGETS = ("Zbar", "Xdiff", "X")
@@ -486,43 +575,55 @@ def _target_pieces(p: ModelParams, target: str, M: float | None):
     raise InvalidRegion("unknown generator target %r (one of %s)" % (target, _TARGETS))
 
 
-def _generator(drift: float, sigma: float, measure: LevyMeasure, V, z: float) -> float:
-    """``drift V'(z) + sigma z V''(z) + z int D_xi V(z) n(dxi)``.
+def _generator(drift, sigma: float, measure: LevyMeasure, V, z: np.ndarray):
+    """``(LV, z * error)`` at the nodes z, with
+    ``LV = drift V'(z) + sigma z V''(z) + z int D_xi V(z) n(dxi)``.
 
-    Raises ``QuadratureFail`` when the jump integral cannot be resolved to
-    absolute tolerance ``1e-9 * (1 + |result|)``.
+    Raises ``QuadratureFail``, naming the worst node, when the jump integral
+    misses the absolute tolerance ``1e-9 * (1 + |LV|)`` at any node.
     """
     jump, jerr = jump_integral(measure, V, z)
-    result = drift * float(V.deriv1(z)) + sigma * z * float(V.deriv2(z)) + z * jump
-    if z * jerr > 1e-9 * (1.0 + abs(result)):
+    lv = drift * V.deriv1(z) + sigma * z * V.deriv2(z) + z * jump
+    zerr = z * jerr
+    bad = zerr > _QUAD_TOL * (1.0 + np.abs(lv))
+    if bad.any():
+        worst = int(np.argmax(np.where(bad, zerr / (1.0 + np.abs(lv)), -math.inf)))
         raise QuadratureFail(
-            "jump integral error %g exceeds tolerance at z=%g" % (z * jerr, z)
+            "jump integral error %g exceeds tolerance at z=%g" % (zerr[worst], z[worst])
         )
-    return float(result)
+    return lv, zerr
 
 
-def eval_generator_1d(
-    p: ModelParams, V, z: float, target: str, M: float | None = None
-) -> float:
+def eval_generator_1d(p: ModelParams, V, z, target: str, M: float | None = None):
     """Generator of a one-dimensional comparison process applied to V at z.
 
     Targets: ``Zbar`` (frozen dominating process for component 2, drift
     ``model.zbar_drift``), ``Xdiff`` (first-component difference, drift
     ``-b1 z**alpha1 + a1 z``), ``X`` (full first component, drift
-    ``model.drift_x``).  Raises ``QuadratureFail`` when the jump integral
+    ``model.drift_x``).  ``z`` is a node or an array of nodes; a float comes
+    back for a scalar.  Raises ``QuadratureFail`` when the jump integral
     cannot be resolved to absolute tolerance ``1e-9 * (1 + |result|)``.
     """
     drift, sigma, measure = _target_pieces(p, target, M)
-    z = float(z)
-    return _generator(drift(z), sigma, measure, V, z)
+    zs = np.asarray(z, dtype=float).ravel()
+    return _shaped(z, _generator(drift(zs), sigma, measure, V, zs)[0])
 
 
-def eval_generator_xy(p: ModelParams, u, v, x: float, y: float) -> float:
-    """Full two-dimensional generator on a separable function u(x) + v(y)."""
-    x, y = float(x), float(y)
-    part_x = eval_generator_1d(p, u, x, "X") if x > 0 else p.gamma1 * float(u.deriv1(x))
-    part_y = _generator(drift_y(p, x, y, p.gamma2), p.sigma2, p.n2, v, y)
-    return part_x + part_y
+def eval_generator_xy(p: ModelParams, u, v, x, y):
+    """Full two-dimensional generator on a separable function u(x) + v(y).
+
+    ``x`` and ``y`` broadcast against each other; a float comes back for
+    scalars.
+    """
+    xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    xs, ys = xb.ravel(), yb.ravel()
+    # at x = 0 only the immigration moves the first component
+    part_x = p.gamma1 * np.asarray(u.deriv1(xs), dtype=float)
+    inside = xs > 0.0
+    if inside.any():
+        part_x[inside] = eval_generator_1d(p, u, xs[inside], "X")
+    part_y, _ = _generator(drift_y(p, xs, ys, p.gamma2), p.sigma2, p.n2, v, ys)
+    return _shaped(xb, part_x + part_y)
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +642,8 @@ class DriftCertificate:
     certified_C: float
     margin_at_infinity: float
     valid: bool
+    max_quad_err: float  # largest z * (jump integral error) over the nodes
+    argmin_z: float  # the node where certified_C is attained
 
     def to_dict(self) -> dict:
         return {
@@ -552,6 +655,11 @@ class DriftCertificate:
             "certified_C": self.certified_C,
             "tail_margin": self.margin_at_infinity,
             "valid": self.valid,
+            "max_quad_err": self.max_quad_err,
+            "argmin_z": self.argmin_z,
+            "C_over_err": (
+                self.certified_C / self.max_quad_err if self.max_quad_err > 0.0 else math.inf
+            ),
         }
 
 
@@ -581,16 +689,20 @@ def certify_drift(
     ``certified_C`` is the minimum of ``-LV`` over the grid;
     ``margin_at_infinity`` is the closed-form guaranteed limit of ``-LV``
     (``c0 / c1**alpha`` for the three-piece functions).  ``valid`` requires
-    both positive.
+    both positive.  ``max_quad_err`` is the largest error estimate of the
+    jump term ``z int D_xi V(z) n(dxi)`` over the grid, and ``argmin_z`` the
+    node of the minimum.
     """
+    drift, sigma, measure = _target_pieces(p, target, M)
     if region is None:
         region = default_region(V)
     z_lo, z_hi = float(region[0]), float(region[1])
     if not (0.0 < z_lo < z_hi):
         raise InvalidRegion("certificate region must satisfy 0 < z_lo < z_hi")
     z_grid = np.geomspace(z_lo, z_hi, n_grid)
-    lv = np.array([eval_generator_1d(p, V, z, target, M=M) for z in z_grid])
-    certified_c = float(np.min(-lv))
+    lv, zerr = _generator(drift(z_grid), sigma, measure, V, z_grid)
+    imin = int(np.argmin(-lv))
+    certified_c = float(-lv[imin])
     margin = float(V.tail_margin()) if hasattr(V, "tail_margin") else math.nan
     valid = certified_c > 0.0 and not (margin <= 0.0)
     params = V.params_dict() if hasattr(V, "params_dict") else {}
@@ -605,6 +717,8 @@ def certify_drift(
         certified_C=certified_c,
         margin_at_infinity=margin,
         valid=valid,
+        max_quad_err=float(np.max(zerr)),
+        argmin_z=float(z_grid[imin]),
     )
 
 

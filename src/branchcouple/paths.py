@@ -84,8 +84,8 @@ class SimScheme:
     state_cap: float = 1e6
 
     def __post_init__(self):
-        if not (self.dt > 0 and self.horizon > 0):
-            raise InvalidParams("dt and horizon must be > 0")
+        if not (0 < self.dt < math.inf and 0 < self.horizon < math.inf):
+            raise InvalidParams("dt and horizon must be finite and > 0")
         if self.small_jump_mode not in ("gaussian", "compensator"):
             raise InvalidParams("small_jump_mode must be 'gaussian' or 'compensator'")
         if not (self.meet_tol > 0 and self.state_cap > 0 and self.jump_cutoff > 0):

@@ -138,6 +138,15 @@ def test_non_numeric_scheme_value_exits_2(tmp_path, capsys, key, value):
     assert "Traceback" not in err
 
 
+def test_infinite_horizon_exits_2(tmp_path, capsys):
+    # json.loads parses Infinity as a float
+    code, _ = _run(tmp_path, "simulate", "--set", "scheme.horizon=Infinity")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "horizon" in err
+    assert "Traceback" not in err
+
+
 def test_jump_cutoff_overrides_only_the_cutoff(tmp_path):
     # a finite-activity second component: the automatic scheme picks the
     # compensator mode and a scale-dependent meeting tolerance
@@ -185,6 +194,24 @@ def test_drift_check_writes_certificate(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["z", "LV"]
     assert len(rows) == 81
+
+
+@pytest.mark.parametrize("horizon,vacuous", [(20.0, True), (1e9, False)])
+def test_drift_check_flags_vacuous_budget(tmp_path, horizon, vacuous):
+    # the h budget at the default model is about 2.8e4
+    code, out = _run(
+        tmp_path,
+        "drift-check",
+        "--set",
+        'experiment={"function": "h", "n_grid": 40}',
+        "--set",
+        "scheme.horizon=%r" % horizon,
+    )
+    assert code == 0
+    res = _load(out)["results"]
+    assert res["valid"] is True
+    assert res["t0_vacuous"] is vacuous
+    assert res["C_over_err"] == pytest.approx(res["certified_C"] / res["max_quad_err"])
 
 
 def test_hitting_writes_tail_and_fit(tmp_path):

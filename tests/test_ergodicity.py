@@ -255,6 +255,8 @@ def test_localize_report_structure(ref):
     assert rep["M"] == 2.0
     assert not rep["k_nonpositive"]
     assert set(rep["budgets"]) == {"Xdiff", "Zbar"}
+    # the h budget (about 2.7e5) is far beyond the horizon of 6
+    assert rep["budgets"]["Xdiff"]["t0_vacuous"] is True
     for key in ("return_below_M", "couple_from_box", "far_start_couple"):
         assert "tail" in rep[key]
     for key in ("return_below_M", "couple_from_box"):

@@ -7,14 +7,16 @@ function or its derivatives shows up at order one.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from branchcouple.errors import InvalidCertificate, InvalidRegion
+from branchcouple.errors import InvalidCertificate, InvalidRegion, QuadratureFail
 from branchcouple.levy import CompoundPoisson, StableLike
 from branchcouple.lyapunov import (
+    CustomFunction,
     budget_from,
     certify_drift,
     certify_exit_barrier,
@@ -158,6 +160,111 @@ def test_jump_integral_square_is_second_moment(m, m2):
         assert val == pytest.approx(m2, rel=1e-10)
 
 
+def _quad_jump(measure, V, z):
+    """Reference jump integral: adaptive quadrature of ``V''(z+s) K(s)`` at
+    relative tolerance 1e-13, split at the kinks of V."""
+    if isinstance(measure, CompoundPoisson):
+        upper = measure.size
+
+        def kernel(s):
+            return measure.rate * (measure.size - s)
+
+    else:
+        c, theta, u = measure.c, measure.theta, measure.truncation
+        upper = math.inf if u is None else u
+
+        def kernel(s):
+            out = c * s ** (1.0 - theta) / (theta * (theta - 1.0))
+            if u is not None:
+                out -= c * (u ** (1.0 - theta) / (theta - 1.0) - s * u**-theta / theta)
+            return out
+
+    edges = [0.0] + sorted(k - z for k in V.kinks if 0.0 < k - z < upper) + [upper]
+    total = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for a, b in zip(edges, edges[1:]):
+            total += quad(
+                lambda s: float(V.deriv2(z + s)) * kernel(s),
+                a, b, epsabs=0.0, epsrel=1e-13, limit=400,
+            )[0]
+    return total
+
+
+def _jump_cases(ref):
+    f_nodes = np.concatenate([np.geomspace(1.0 / 63.0, 1e3, 34), np.linspace(3.0, 8.0, 6)])
+    nodes = np.geomspace(1e-3, 1e3, 40)
+    untruncated = StableLike(c=0.7, theta=1.2)
+    cpp = CompoundPoisson(rate=2.0, size=0.5)
+    return [
+        ("f0.5", make_f(ref, 0.5), ref.n2, f_nodes),
+        ("f1", make_f(ref, 1.0), ref.n2, f_nodes),
+        ("h", make_h(ref), ref.n1, nodes),
+        ("g", make_g(ref), ref.n1, nodes),
+        ("f1-untruncated", make_f(ref, 1.0), untruncated, f_nodes),
+        ("h-untruncated", make_h(ref), untruncated, nodes),
+        ("g-untruncated", make_g(ref), untruncated, nodes),
+        ("f1-cpp", make_f(ref, 1.0), cpp, f_nodes),
+        ("g-cpp", make_g(ref), cpp, nodes),
+    ]
+
+
+def test_jump_integral_matches_tight_adaptive_quadrature(ref):
+    for label, V, measure, nodes in _jump_cases(ref):
+        got, err = jump_integral(measure, V, nodes)
+        want = np.array([_quad_jump(measure, V, z) for z in nodes])
+        rel = np.abs(got - want) / np.abs(want)
+        assert np.max(rel) <= 1e-10, (label, nodes[np.argmax(rel)], np.max(rel))
+        assert np.all(err <= 1e-10 * np.abs(want)), label
+
+
+def test_array_evaluation_equals_scalar_wrappers(ref):
+    for label, V, measure, nodes in _jump_cases(ref):
+        value, err = jump_integral(measure, V, nodes)
+        one = [jump_integral(measure, V, z) for z in nodes]
+        assert all(isinstance(v, float) and isinstance(e, float) for v, e in one)
+        assert np.array_equal(value, [v for v, _ in one]), label
+        assert np.array_equal(err, [e for _, e in one]), label
+    for V, target, M in ((make_f(ref, 1.0), "Zbar", 1.0), (make_h(ref), "Xdiff", None)):
+        cert = certify_drift(ref, V, target, M=M, n_grid=60)
+        lv = eval_generator_1d(ref, V, cert.z_grid, target, M=M)
+        one = [eval_generator_1d(ref, V, z, target, M=M) for z in cert.z_grid]
+        assert np.array_equal(cert.lv, lv) and np.array_equal(lv, one)
+    sq = square_hook()
+    x = np.linspace(0.0, 4.0, 33)
+    table = eval_generator_xy(ref, sq, sq, x, 0.5)
+    assert np.array_equal(table, [eval_generator_xy(ref, sq, sq, v, 0.5) for v in x])
+
+
+def test_undeclared_step_in_second_derivative_fails_quadrature(ref):
+    # V'' steps at x = 3.3, inside the cell [2, 4] of the node z = 1
+    def d2(z):
+        return np.where(np.asarray(z) < 3.3, 2.0, 1.0)
+
+    def d1(z):
+        return 2.0 * np.asarray(z, dtype=float)
+
+    def value(z):
+        return np.asarray(z, dtype=float) ** 2
+
+    with pytest.raises(QuadratureFail, match="z=1"):
+        eval_generator_1d(ref, CustomFunction(value, d1, d2), 1.0, "X")
+    declared = CustomFunction(value, d1, d2, kinks=(3.3,))
+    got, err = jump_integral(ref.n1, declared, 1.0)
+    assert got == pytest.approx(_quad_jump(ref.n1, declared, 1.0), rel=1e-10)
+    assert err <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_smoothing_family_kinks_resolve_its_jump_integral(ref, n):
+    phi = make_smoothing(n)
+    assert phi.kinks == (phi.lower, phi.upper)
+    for z in (phi.lower / 3.0, math.sqrt(phi.lower * phi.upper), 2.0 * phi.upper):
+        got, err = jump_integral(ref.n1, phi, z)
+        assert got == pytest.approx(_quad_jump(ref.n1, phi, z), rel=1e-10)
+        assert z * err <= 1e-9
+
+
 def test_eval_generator_identity_recovers_drift(ref):
     V = identity_hook()
     for z in (0.3, REF_DRIFT_ROOT, 8.0):
@@ -221,6 +328,20 @@ def test_certify_drift_reference_f_and_h(ref):
     assert cert_h.valid
     assert cert_h.certified_C > 0.0
     assert np.all(np.isfinite(cert_h.lv))
+
+
+def test_certificate_reports_quadrature_error_and_argmin(ref):
+    f = make_f(ref, 0.5)
+    cert = certify_drift(ref, f, "Zbar", M=0.5, n_grid=80)
+    _, jerr = jump_integral(ref.n2, f, cert.z_grid)
+    worst = int(np.argmin(-cert.lv))
+    assert cert.certified_C == float(np.min(-cert.lv))
+    assert cert.argmin_z == cert.z_grid[worst]
+    assert cert.max_quad_err == float(np.max(cert.z_grid * jerr))
+    out = cert.to_dict()
+    assert out["argmin_z"] == cert.argmin_z
+    assert out["max_quad_err"] == cert.max_quad_err
+    assert out["C_over_err"] == cert.certified_C / cert.max_quad_err
 
 
 def test_certify_drift_rejects_immigration_on_h(ref):
