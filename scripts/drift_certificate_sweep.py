@@ -35,36 +35,18 @@ def main(argv=None):
     p = model.params_from_config(cfg["model"])
     model.validate(p)
 
+    levels = [float(s) for s in args.levels.split(",")]
     rows = []
-    for m_level in (float(s) for s in args.levels.split(",")):
-        f = lyapunov.make_f(p, m_level)
-        cert = lyapunov.certify_drift(
-            p, f, "Zbar", M=m_level, region=lyapunov.default_region(f), n_grid=args.n_grid
-        )
-        t0 = (
-            lyapunov.budget_from(f.sup_value(), cert.certified_C)
-            if cert.valid
-            else float("nan")
-        )
-        rows.append(["f", m_level, cert.valid, cert.certified_C, f.sup_value(), t0])
-
-    h = lyapunov.make_h(p)
-    cert_h = lyapunov.certify_drift(
-        p, h, "Xdiff", region=lyapunov.default_region(h), n_grid=args.n_grid
-    )
-    t0_h = (
-        lyapunov.budget_from(h.sup_value(), cert_h.certified_C)
-        if cert_h.valid
-        else float("nan")
-    )
-    rows.append(["h", float("nan"), cert_h.valid, cert_h.certified_C, h.sup_value(), t0_h])
-
-    m0 = model.m0_heuristic(p)
-    g = lyapunov.make_g(p)
-    cert_g = lyapunov.certify_drift(
-        p, g, "X", region=(m0, 10.0 * m0), n_grid=args.n_grid
-    )
-    rows.append(["g", m0, cert_g.valid, cert_g.certified_C, g.sup_value(), 2.0])
+    for function, m_level in [("f", m) for m in levels] + [("h", None), ("g", None)]:
+        cert = lyapunov.certify(p, function, M=m_level, n_grid=args.n_grid)
+        if function == "g":
+            # the probe has no meeting budget: its row gives the level M0 it is
+            # certified above and sup g in both of the last two columns
+            m_level, t0 = cert.region[0], cert.sup_value
+        else:
+            t0 = float("nan") if cert.t0 is None else cert.t0
+        m_level = float("nan") if m_level is None else m_level
+        rows.append([function, m_level, cert.valid, cert.certified_C, cert.sup_value, t0])
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -241,59 +241,29 @@ def cmd_drift_check(cfg, args, p, files):
     exp = cfg["experiment"]
     function = exp.get("function", "f")
     M = float(exp.get("M", 1.0))
-    region = exp.get("region")
     n_grid = int(exp.get("n_grid", 400))
-    scheme = None
-
     if function == "w":
         report = lyapunov.certify_exit_barrier(p, M, n_grid=max(n_grid, 16))
-        results = report.to_dict()
         if not report.valid:
             raise InvalidCertificate(
                 "exit barrier at M=%g fails (M must exceed the drift root)" % M
             )
-        return scheme, results
+        return None, report.to_dict()
 
-    if function == "f":
-        V = lyapunov.make_f(p, M)
-        target = exp.get("target", "Zbar")
-    elif function == "h":
-        V = lyapunov.make_h(p)
-        target = exp.get("target", "Xdiff")
-    elif function == "g":
-        V = lyapunov.make_g(p)
-        target = exp.get("target", "X")
-        if region is None:
-            m0 = model.m0_heuristic(p)
-            region = (m0, 10.0 * m0)
-    else:
-        raise InvalidParams("unknown drift-check function %r" % function)
-
-    if region is None:
-        region = lyapunov.default_region(V)
-    region = (float(region[0]), float(region[1]))
-    cert = lyapunov.certify_drift(p, V, target, M=M, region=region, n_grid=n_grid)
-    files.append(
-        _write_csv(
-            args.out + "_drift.csv", ["z", "LV"], zip(cert.z_grid, cert.lv)
-        )
-    )
-    results = cert.to_dict()
-    if function in ("f", "h"):
-        try:
-            results["t0"] = lyapunov.budget_from(V.sup_value(), cert.certified_C)
-        except (InvalidCertificate, OverflowError) as exc:
-            results["t0_unavailable"] = str(exc)
-        else:
-            # a budget beyond the horizon of the runs it would bound says nothing
-            horizon = _scheme_number(cfg["scheme"], "horizon", 20.0)
-            results["t0_vacuous"] = results["t0"] > horizon
+    cert = lyapunov.certify(p, function, M=M, region=exp.get("region"), n_grid=n_grid)
+    rows = zip(cert.z_grid, cert.lv)
+    files.append(_write_csv(args.out + "_drift.csv", ["z", "LV"], rows))
     if not cert.valid:
         raise InvalidCertificate(
             "drift certificate for %s on %s is not valid (C=%g)"
-            % (function, target, cert.certified_C)
+            % (function, cert.target, cert.certified_C)
         )
-    return scheme, results
+    results = cert.to_dict()
+    if cert.t0 is not None:
+        # a budget beyond the horizon of the runs it would bound says nothing
+        horizon = _scheme_number(cfg["scheme"], "horizon", 20.0)
+        results["t0_vacuous"] = cert.t0 > horizon
+    return None, results
 
 
 def cmd_hitting(cfg, args, p, files):
@@ -418,7 +388,6 @@ def cmd_comparison_audit(cfg, args, p, files):
         M,
         n_paths,
         args.seed,
-        ignore_exit=bool(exp.get("ignore_exit", False)),
         workers=args.workers,
     )
     report.pop("raw", None)

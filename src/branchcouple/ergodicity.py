@@ -24,9 +24,9 @@ from scipy import integrate
 
 from . import paths as sim
 from .errors import (
+    BranchCoupleError,
     DegenerateFit,
     InsufficientPaths,
-    InvalidCertificate,
     InvalidParams,
     NotApplicable,
     OutOfGrid,
@@ -334,7 +334,6 @@ def comparison_audit(
     n_paths: int,
     seed: int,
     *,
-    ignore_exit: bool = False,
     workers: int = 1,
 ) -> dict:
     """Pathwise audit of the three comparison orderings before the exit time.
@@ -365,7 +364,6 @@ def comparison_audit(
         M=M,
         with_aux=True,
         audit=True,
-        ignore_exit=ignore_exit,
         high=2.0 * M,
         workers=workers,
     )
@@ -460,7 +458,8 @@ def localize_report(
     far-start coupling versus the product of the first two lower bounds.
     Certified time budgets from the drift certificates are attached when
     they are computable at this M, each flagged ``t0_vacuous`` when it
-    exceeds the scheme's horizon.
+    exceeds the scheme's horizon; any certificate error marks its budget
+    ``unavailable`` with the reason.
     """
     if M is None:
         M = m0_heuristic(p)
@@ -470,14 +469,15 @@ def localize_report(
     for target in ("Xdiff", "Zbar"):
         try:
             b = meeting_time_budget(p, M, target=target)
-            budgets[target] = {
-                "t0": b.t0,
-                "t0_vacuous": b.t0 > scheme.horizon,
-                "sup_value": b.sup_value,
-                "certified_C": b.certified_C,
-            }
-        except (InvalidCertificate, OverflowError) as exc:
+        except BranchCoupleError as exc:
             budgets[target] = {"unavailable": str(exc)}
+            continue
+        budgets[target] = {
+            "t0": b.t0,
+            "t0_vacuous": b.t0 > scheme.horizon,
+            "sup_value": b.sup_value,
+            "certified_C": b.certified_C,
+        }
 
     far = start_scale * M
     t_ret = scheme.horizon / 2.0

@@ -36,7 +36,7 @@ is the sum over the cells of ``|Kronrod - embedded Gauss|``.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -44,6 +44,7 @@ import numpy as np
 from .errors import (
     ConditionFails,
     InvalidCertificate,
+    InvalidParams,
     InvalidRegion,
     QuadratureFail,
 )
@@ -53,6 +54,7 @@ from .model import (
     drift_root,
     drift_x,
     drift_y,
+    m0_heuristic,
     noise_floor,
     zbar_drift,
 )
@@ -207,18 +209,15 @@ def _three_piece(label, beta, kappa0, q, b, alpha) -> ThreePiece:
         )
     entries.append((1.0 - beta) * (kappa0 / (qpos + 1.0)) ** (1.0 / (2.0 * beta)))
     l0 = 0.9 * min(entries)
-    if qpos > 0.0:
+    try:
         l1 = max(2.0, 2.0 * (2.0 * qpos / b) ** (1.0 / (alpha - 1.0)))
-    else:
-        l1 = 2.0
-    c0 = (
-        0.5
-        * b
-        * beta
-        * l0 ** (beta - 1.0)
-        * l1**alpha
-        * math.exp(-(1.0 - beta) * (l1 - l0) / l0)
-    )
+        c0 = 0.5 * b * beta * l0 ** (beta - 1.0) * l1**alpha
+    except OverflowError:
+        raise ConditionFails(
+            "%s: the junction l1 = 2 (2q/b)^(1/(alpha-1)) overflows at q=%g, "
+            "b=%g, alpha=%g" % (label, qpos, b, alpha)
+        ) from None
+    c0 *= math.exp(-(1.0 - beta) * (l1 - l0) / l0)
     c1 = (1.0 - beta) * l1 / (alpha * l0)
     return ThreePiece(
         label=label,
@@ -474,7 +473,11 @@ def _cell_plan(V, z, upper):
     """
     n = z.size
     scale = np.where(z > 0.0, z, 1.0)[:, None]  # a node at 0 has no scale
-    cols = [scale * _GRADING]
+    top = np.full((n, 1), upper) if math.isfinite(upper) else scale * _GRADING[-1]
+    # a grading point at or past every node's top would only end zero-length
+    # cells, so the gradings stop below the largest top
+    reach = top.max(initial=0.0)
+    cols = [scale * _GRADING[_GRADING * scale.min(initial=math.inf) < reach]]
     cols += [np.full((n, 1), k) - z[:, None] for k in getattr(V, "kinks", ())]
     if isinstance(V, ThreePiece):
         cell = 2.0 * V.l0 / (1.0 - V.beta)
@@ -482,8 +485,8 @@ def _cell_plan(V, z, upper):
         x_exp = V.l0 + cell * (first[:, None] + np.arange(1, _EXP_CELLS + 1))
         cols.append(np.where(x_exp < V.l1, x_exp, -math.inf) - z[:, None])
         pole = V.l1 - V.l1 / V.c1
-        cols.append(pole + (V.l1 - pole) * _POLE_GRADING - z[:, None])
-    top = np.full((n, 1), upper) if math.isfinite(upper) else scale * _GRADING[-1]
+        x_pole = pole + (V.l1 - pole) * _POLE_GRADING
+        cols.append(x_pole[x_pole - z.max(initial=-math.inf) < reach] - z[:, None])
     pts = np.concatenate(cols, axis=1)
     pts = np.where((pts > 0.0) & (pts < top), pts, top)
     pts.sort(axis=1)
@@ -644,9 +647,12 @@ class DriftCertificate:
     valid: bool
     max_quad_err: float  # largest z * (jump integral error) over the nodes
     argmin_z: float  # the node where certified_C is attained
+    C_over_err: float  # min over the nodes of -LV / (z * error), inf where error = 0
+    sup_value: float | None = None
+    t0: float | None = None  # time budget, carried by a valid f or h certificate
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "function": self.function_label,
             "params": self.function_params,
             "target": self.target,
@@ -657,10 +663,11 @@ class DriftCertificate:
             "valid": self.valid,
             "max_quad_err": self.max_quad_err,
             "argmin_z": self.argmin_z,
-            "C_over_err": (
-                self.certified_C / self.max_quad_err if self.max_quad_err > 0.0 else math.inf
-            ),
+            "C_over_err": self.C_over_err,
         }
+        if self.t0 is not None:
+            out["t0"] = self.t0
+        return out
 
 
 def default_region(V, z_hi: float = 1e3) -> tuple[float, float]:
@@ -690,8 +697,9 @@ def certify_drift(
     ``margin_at_infinity`` is the closed-form guaranteed limit of ``-LV``
     (``c0 / c1**alpha`` for the three-piece functions).  ``valid`` requires
     both positive.  ``max_quad_err`` is the largest error estimate of the
-    jump term ``z int D_xi V(z) n(dxi)`` over the grid, and ``argmin_z`` the
-    node of the minimum.
+    jump term ``z int D_xi V(z) n(dxi)`` over the grid, ``argmin_z`` the
+    node of the minimum and ``C_over_err`` the smallest ratio of ``-LV`` to
+    that error estimate over the nodes.
     """
     drift, sigma, measure = _target_pieces(p, target, M)
     if region is None:
@@ -706,6 +714,8 @@ def certify_drift(
     margin = float(V.tail_margin()) if hasattr(V, "tail_margin") else math.nan
     valid = certified_c > 0.0 and not (margin <= 0.0)
     params = V.params_dict() if hasattr(V, "params_dict") else {}
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(zerr > 0.0, -lv / zerr, math.inf)
     return DriftCertificate(
         function_label=getattr(V, "label", "custom"),
         function_params=params,
@@ -719,6 +729,8 @@ def certify_drift(
         valid=valid,
         max_quad_err=float(np.max(zerr)),
         argmin_z=float(z_grid[imin]),
+        C_over_err=float(np.min(ratio)),
+        sup_value=float(V.sup_value()) if hasattr(V, "sup_value") else None,
     )
 
 
@@ -760,22 +772,6 @@ def certify_exit_barrier(p: ModelParams, M: float, n_grid: int = 128) -> Barrier
     )
 
 
-@dataclass(frozen=True)
-class MeetingBudget:
-    sup_value: float
-    certified_C: float
-    t0: float
-    certificate: DriftCertificate
-
-    def to_dict(self) -> dict:
-        return {
-            "sup_value": self.sup_value,
-            "certified_C": self.certified_C,
-            "t0": self.t0,
-            "certificate": self.certificate.to_dict(),
-        }
-
-
 def budget_from(sup_value: float, certified_c: float, slack: float = 0.05) -> float:
     """Time budget 2 * sup V / C, padded by the slack factor.
 
@@ -788,36 +784,67 @@ def budget_from(sup_value: float, certified_c: float, slack: float = 0.05) -> fl
     return 2.0 * sup_value / certified_c * (1.0 + slack)
 
 
+# Each certified function: its constructor from (p, M), the comparison process
+# whose generator it is certified against, and whether a valid certificate
+# carries the absorption (f) or meeting (h) budget t0 = 2 sup V / C.
+_CERTIFIED = {
+    "f": (make_f, "Zbar", True),
+    "h": (lambda p, M: make_h(p), "Xdiff", True),
+    "g": (lambda p, M: make_g(p), "X", False),
+}
+
+
+def certify(
+    p: ModelParams,
+    function: str,
+    M: float | None = None,
+    region: tuple[float, float] | None = None,
+    n_grid: int = 400,
+) -> DriftCertificate:
+    """Drift certificate of ``function`` (``f``, ``h`` or ``g``) against its
+    target.
+
+    The region defaults to ``default_region`` for f and h and to
+    ``(M0, 10 M0)`` for the exit probe g (``M0 = model.m0_heuristic``).  A
+    valid f or h certificate carries ``t0 = budget_from(sup V, C)``.
+    """
+    if function not in _CERTIFIED:
+        raise InvalidParams(
+            "unknown certificate function %r (one of %s)" % (function, ", ".join(_CERTIFIED))
+        )
+    make, target, budget = _CERTIFIED[function]
+    if M is None and target == "Zbar":
+        raise InvalidRegion("function %r needs the freeze level M" % function)
+    if region is None and function == "g":
+        m0 = m0_heuristic(p)
+        region = (m0, 10.0 * m0)
+    cert = certify_drift(p, make(p, M), target, region=region, M=M, n_grid=n_grid)
+    if budget and cert.valid:
+        cert = replace(cert, t0=budget_from(cert.sup_value, cert.certified_C))
+    return cert
+
+
 def meeting_time_budget(
     p: ModelParams,
     M: float,
     target: str = "Zbar",
     region: tuple[float, float] | None = None,
     n_grid: int = 400,
-    slack: float = 0.05,
-) -> MeetingBudget:
+) -> DriftCertificate:
     """Certificate-backed time budget for absorption/meeting of a target.
 
-    ``Zbar`` builds the f-function for the dominating process frozen at M;
-    ``Xdiff`` builds the h-function for the first-component difference.
-    Raises ``InvalidCertificate`` when the drift certificate fails.
+    ``Zbar`` certifies f for the dominating process frozen at M, ``Xdiff``
+    certifies h for the first-component difference; the budget is the
+    certificate's ``t0``.  Raises ``InvalidCertificate`` when the drift
+    certificate fails.
     """
-    if target == "Zbar":
-        V = make_f(p, M)
-    elif target == "Xdiff":
-        V = make_h(p)
-    else:
-        raise InvalidRegion("budget target must be 'Zbar' or 'Xdiff'")
-    cert = certify_drift(p, V, target, region=region, M=M, n_grid=n_grid)
+    functions = {t: name for name, (_, t, budget) in _CERTIFIED.items() if budget}
+    if target not in functions:
+        raise InvalidRegion("budget target must be one of %s" % ", ".join(functions))
+    cert = certify(p, functions[target], M=M, region=region, n_grid=n_grid)
     if not cert.valid:
         raise InvalidCertificate(
             "drift certificate invalid for %s (C=%g, margin=%g)"
             % (target, cert.certified_C, cert.margin_at_infinity)
         )
-    sup_v = V.sup_value()
-    return MeetingBudget(
-        sup_value=sup_v,
-        certified_C=cert.certified_C,
-        t0=budget_from(sup_v, cert.certified_C, slack),
-        certificate=cert,
-    )
+    return cert

@@ -311,19 +311,22 @@ class _Batch:
     the component rows ``rows``, one row per consumer or every row from a
     single consumer.  ``drift(S, k)`` returns one row per component at step
     ``k``; ``rates(top, k)`` returns the jump rate and the drift stiffness
-    from the per-component maxima over live paths.  ``finals`` names the
-    outputs holding the final state of a row; ``last`` keeps the frozen
-    state of the paths compaction dropped.
+    from the per-component maxima over live paths.  Each row is
+    compensated for the thinned jumps of the channel whose sheets feed it.
+    ``finals`` names the outputs holding the final state of a row; ``last``
+    keeps the frozen state of the paths compaction dropped.
     """
 
     ov = None  # projection overshoots of the comparison processes
 
     def __init__(
-        self, scheme, S, tlm, sheets, drift, rates, rules,
+        self, scheme, S, sheets, drift, rates, rules,
         *, record=False, compact=True, finals=(),
     ):
         self.scheme, self.S = scheme, S
-        self.tlm = np.asarray(tlm, dtype=float)[:, None]  # thinned-jump compensators
+        self.tlm = np.zeros((S.shape[0], 1))  # thinned-jump compensators
+        for ch, _, rows in sheets:
+            self.tlm[rows] = ch.tlm
         self.sheets, self.drift, self.rates, self.rules = sheets, drift, rates, rules
         self.record, self.compact, self.finals = record, compact, finals
         self.n = S.shape[1]
@@ -610,10 +613,7 @@ class _Dominate(_Rule):
 
 class _Audit(_Rule):
     """Violations of the three comparison orderings, per path, up to the
-    exit time ``tau_plus`` unless ``ignore_exit``."""
-
-    def __init__(self, ignore_exit):
-        self.ignore_exit = ignore_exit
+    exit time ``tau_plus``."""
 
     def start(self, b):
         o = b.out
@@ -626,10 +626,8 @@ class _Audit(_Rule):
     def sub(self, b, t, h):
         if b.ov is None:
             return
-        o, scope = b.out, b.was
-        if not self.ignore_exit:
-            th = b.at(o["tau_plus"])
-            scope = scope & (np.isinf(th) | (th >= t))
+        o, th = b.out, b.at(b.out["tau_plus"])
+        scope = b.was & (np.isinf(th) | (th >= t))
         for key, ov in zip(("viol_z", "viol_zbar"), b.ov):
             o[key] = np.where(scope, np.maximum(o[key], ov), o[key])
             hit = scope & (ov > 0.0)
@@ -638,10 +636,9 @@ class _Audit(_Rule):
 
     def step(self, b, k):
         o = b.out
+        th = o["tau_plus"]
         act = b.alive & np.isinf(o["abort"])
-        if not self.ignore_exit:
-            th = o["tau_plus"]
-            act &= ~(np.isfinite(th) & (th <= (k + 1) * b.scheme.dt))
+        act &= ~(np.isfinite(th) & (th <= (k + 1) * b.scheme.dt))
         o["viol_order"] = np.where(
             act, np.maximum(o["viol_order"], b.S[3] - b.S[2]), o["viol_order"]
         )
@@ -689,16 +686,13 @@ def _system(p, scheme, truncation, x_only, low, high, retire, record, dynkin, x0
     ]
     rules += [_Dynkin(*dynkin)] if dynkin is not None else []
     finals = () if record else (("final_x", 0), ("final_y", 1))
-    tlm = [ch1.tlm, ch2.tlm]
     return _Batch(
-        scheme, S, tlm, sheets, drift, rates, rules,
+        scheme, S, sheets, drift, rates, rules,
         record=record, compact=dynkin is None, finals=finals,
     )
 
 
-def _coupled(
-    p, scheme, M, with_aux, audit, ignore_exit, high, record, x0, xt0, y0, yt0
-):
+def _coupled(p, scheme, M, with_aux, audit, high, record, x0, xt0, y0, yt0):
     """Coupled pairs ((X, Y), (Xt, Yt)) on two two-consumer sheets.
 
     With ``with_aux`` the dominating processes Z and Zbar ride along in the
@@ -746,15 +740,12 @@ def _coupled(
     glue_x = _Glue(0, 1, "t_x", "X")
     rules = [glue_x, _Glue(2, 3, "t_full", "Y", glue_x, compact)]
     rules += [_Dominate()] if with_aux else []
-    rules += [_Audit(ignore_exit)] if audit else []
+    rules += [_Audit()] if audit else []
     if with_aux:
         rules += [_Absorb(4, "zeta0", False), _Absorb(5, "zetabar0", False)]
     rules.append(_Cross("tau_plus", high, True, lambda S: np.maximum(S[0], S[1])))
-    tlm = [ch1.tlm] * 2 + [ch2.tlm] * (len(rows) - 2)
     S = np.array(rows, dtype=float)
-    return _Batch(
-        scheme, S, tlm, sheets, drift, rates, rules, record=record, compact=compact
-    )
+    return _Batch(scheme, S, sheets, drift, rates, rules, record=record, compact=compact)
 
 
 def _scalar(scheme, z0, sigma, measure, drift, stiff, stop):
@@ -766,7 +757,7 @@ def _scalar(scheme, z0, sigma, measure, drift, stiff, stop):
     def rates(top, k):
         return ch.lam * top[0], stiff(top[0], k)
 
-    return _Batch(scheme, S, [ch.tlm], sheets, drift, rates, [stop])
+    return _Batch(scheme, S, sheets, drift, rates, [stop])
 
 
 def _zbar(p, M, scheme, z0):
@@ -887,14 +878,13 @@ def mc_coupled(
     M: float | None = None,
     with_aux: bool = False,
     audit: bool = False,
-    ignore_exit: bool = False,
     high: float | None = None,
     workers: int = 1,
 ) -> dict:
     arrays = tuple(np.asarray(a, dtype=float) for a in (x0s, xt0s, y0s, yt0s))
     return _fanout(
         _coupled,
-        (p, scheme, M, with_aux, audit, ignore_exit, high, False),
+        (p, scheme, M, with_aux, audit, high, False),
         arrays,
         seed,
         _TAG_COUPLED,
@@ -1000,7 +990,7 @@ def simulate_coupled(
     high: float | None = None,
 ) -> PathGrid:
     """One coupled path ((X, Y), (Xt, Yt)), optionally with (Z, Zbar)."""
-    static = (p, scheme, M, with_aux, False, False, high, True)
+    static = (p, scheme, M, with_aux, False, high, True)
     out = _single(_coupled, static, init, rng)
     keys = ("t_x", "t_full", "zeta0", "zetabar0")
     stops = {key: float(out[key][0]) for key in keys if key in out}

@@ -6,10 +6,13 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from branchcouple.cli import main
+from branchcouple.cli import DEFAULT_CONFIG, main
 from branchcouple.levy import measure_from_config, suggest_cutoff
+from branchcouple.lyapunov import certify, jump_integral, make_h, meeting_time_budget
+from branchcouple.model import params_from_config
 
 
 def _run(tmp_path, *argv):
@@ -189,7 +192,7 @@ def test_drift_check_writes_certificate(tmp_path):
     assert res["valid"] is True
     assert res["certified_C"] > 0.0
     assert res["function"] == "f"
-    assert "t0" in res or "t0_unavailable" in res
+    assert res["t0"] > 0.0
     with open(str(out) + "_drift.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["z", "LV"]
@@ -211,7 +214,62 @@ def test_drift_check_flags_vacuous_budget(tmp_path, horizon, vacuous):
     res = _load(out)["results"]
     assert res["valid"] is True
     assert res["t0_vacuous"] is vacuous
-    assert res["C_over_err"] == pytest.approx(res["certified_C"] / res["max_quad_err"])
+    # the smallest per-node ratio of -LV to the error estimate of its jump term
+    z, lv = np.loadtxt(str(out) + "_drift.csv", delimiter=",", skiprows=1).T
+    p = params_from_config(DEFAULT_CONFIG["model"])
+    _, err = jump_integral(p.n1, make_h(p), z)
+    assert res["C_over_err"] == pytest.approx(np.min(-lv / (z * err)))
+
+
+@pytest.mark.parametrize("function,target", [("f", "Zbar"), ("h", "Xdiff")])
+def test_drift_check_certify_and_budget_agree_exactly(tmp_path, function, target):
+    code, out = _run(
+        tmp_path,
+        "drift-check",
+        "--set",
+        'experiment={"function": "%s", "M": 1.0}' % function,
+    )
+    assert code == 0
+    res = _load(out)["results"]
+    p = params_from_config(DEFAULT_CONFIG["model"])
+    cert = certify(p, function, M=1.0)
+    budget = meeting_time_budget(p, 1.0, target)
+    assert res["certified_C"] == cert.certified_C == budget.certified_C
+    assert res["t0"] == cert.t0 == budget.t0
+
+
+def test_drift_check_overflowing_junction_exits_1_without_traceback(tmp_path, capsys):
+    # at alpha2 = 1.001 the junction l1 = 2 (2q/b)^1000 of f exceeds double range
+    code, _ = _run(
+        tmp_path,
+        "drift-check",
+        "--set",
+        "model.alpha2=1.001",
+        "--set",
+        'experiment={"function": "f", "M": 5.0}',
+    )
+    assert code == 1
+    assert "junction l1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha2,reason", [(0.9, "alpha2 > 1"), (1.001, "junction l1")])
+def test_localize_marks_uncomputable_budget_unavailable(tmp_path, alpha2, reason):
+    code, out = _run(
+        tmp_path,
+        "localize",
+        "--paths",
+        "50",
+        "--set",
+        "scheme.horizon=1",
+        "--set",
+        "scheme.dt=0.01",
+        "--set",
+        "model.alpha2=%r" % alpha2,
+    )
+    assert code == 0
+    budgets = _load(out)["results"]["budgets"]
+    assert reason in budgets["Zbar"]["unavailable"]
+    assert budgets["Xdiff"]["certified_C"] > 0.0
 
 
 def test_hitting_writes_tail_and_fit(tmp_path):

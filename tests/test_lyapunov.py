@@ -13,11 +13,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from branchcouple.errors import InvalidCertificate, InvalidRegion, QuadratureFail
+from branchcouple.errors import (
+    InvalidCertificate,
+    InvalidParams,
+    InvalidRegion,
+    QuadratureFail,
+)
 from branchcouple.levy import CompoundPoisson, StableLike
 from branchcouple.lyapunov import (
     CustomFunction,
     budget_from,
+    certify,
     certify_drift,
     certify_exit_barrier,
     default_region,
@@ -341,7 +347,8 @@ def test_certificate_reports_quadrature_error_and_argmin(ref):
     out = cert.to_dict()
     assert out["argmin_z"] == cert.argmin_z
     assert out["max_quad_err"] == cert.max_quad_err
-    assert out["C_over_err"] == cert.certified_C / cert.max_quad_err
+    # the smallest per-node ratio of -LV to its error estimate
+    assert out["C_over_err"] == float(np.min(-cert.lv / (cert.z_grid * jerr)))
 
 
 def test_certify_drift_rejects_immigration_on_h(ref):
@@ -441,12 +448,30 @@ def test_budget_arithmetic():
 
 def test_meeting_time_budget_consistency(ref):
     mb = meeting_time_budget(ref, 1.0, target="Xdiff", n_grid=80)
-    assert mb.certificate.valid
+    assert mb.valid
     assert mb.t0 == pytest.approx(
         budget_from(mb.sup_value, mb.certified_C), rel=1e-12
     )
     with pytest.raises(InvalidRegion):
         meeting_time_budget(ref, 1.0, target="nonsense")
+
+
+def test_certify_pairs_each_function_with_target_region_and_budget(ref):
+    f = certify(ref, "f", M=1.0, n_grid=60)
+    assert (f.target, f.region) == ("Zbar", default_region(make_f(ref, 1.0)))
+    assert f.t0 == budget_from(make_f(ref, 1.0).sup_value(), f.certified_C)
+    h = certify(ref, "h", n_grid=60)
+    assert (h.target, h.region) == ("Xdiff", default_region(make_h(ref)))
+    assert h.sup_value == make_h(ref).sup_value()
+    assert h.t0 == budget_from(h.sup_value, h.certified_C)
+    g = certify(ref, "g", n_grid=60)
+    assert g.target == "X" and g.t0 is None
+    assert g.region[0] == pytest.approx(REF_M0, rel=1e-8)
+    assert g.region[1] == 10.0 * g.region[0]
+    with pytest.raises(InvalidParams):
+        certify(ref, "w", M=1.0)
+    with pytest.raises(InvalidRegion):
+        certify(ref, "f")
 
 
 def test_noise_floor_feeds_beta(ref):
