@@ -40,11 +40,10 @@ def main(argv=None):
     for function, m_level in [("f", m) for m in levels] + [("h", None), ("g", None)]:
         cert = lyapunov.certify(p, function, M=m_level, n_grid=args.n_grid)
         if function == "g":
-            # the probe has no meeting budget: its row gives the level M0 it is
-            # certified above and sup g in both of the last two columns
-            m_level, t0 = cert.region[0], cert.sup_value
-        else:
-            t0 = float("nan") if cert.t0 is None else cert.t0
+            # the probe has no meeting budget: its row gives the level M0 it
+            # is certified above
+            m_level = cert.region[0]
+        t0 = float("nan") if cert.t0 is None else cert.t0
         m_level = float("nan") if m_level is None else m_level
         rows.append([function, m_level, cert.valid, cert.certified_C, cert.sup_value, t0])
 

@@ -98,27 +98,35 @@ def _resolve_config(args) -> dict:
     return cfg
 
 
-def _scheme_number(sc: dict, key: str, default=None):
-    value = sc.get(key, default)
+def _number(cfg: dict, section: str, key: str, default=None, kind=float):
+    """``cfg[section][key]`` converted by ``kind``; a missing or null key
+    reads ``default`` (``None`` stays ``None``), and a value ``kind`` rejects
+    raises ``InvalidParams`` naming the key."""
+    value = cfg[section].get(key)
+    if value is None:
+        value = default
     try:
-        return None if value is None else float(value)
-    except (TypeError, ValueError) as exc:
-        raise InvalidParams("scheme key %s must be a number" % key) from exc
+        return None if value is None else kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidParams("%s key %s must be numeric" % (section, key)) from exc
+
+
+def _floats(values) -> tuple:
+    return tuple(float(v) for v in values)
 
 
 def _resolve_scheme(cfg: dict, p: model.ModelParams, scale_hint: float) -> paths.SimScheme:
     """``SimScheme.auto`` at the experiment's scale; a scheme key that is set
     overrides only its own value."""
-    sc = cfg["scheme"]
     return paths.SimScheme.auto(
         p,
-        _scheme_number(sc, "dt", 1e-3),
-        _scheme_number(sc, "horizon", 20.0),
+        _number(cfg, "scheme", "dt", 1e-3),
+        _number(cfg, "scheme", "horizon", 20.0),
         scale=scale_hint,
-        meet_tol=_scheme_number(sc, "meet_tol"),
-        state_cap=_scheme_number(sc, "state_cap", 1e6),
-        small_jump_mode=sc.get("small_jump_mode"),
-        jump_cutoff=_scheme_number(sc, "jump_cutoff"),
+        meet_tol=_number(cfg, "scheme", "meet_tol"),
+        state_cap=_number(cfg, "scheme", "state_cap", 1e6),
+        small_jump_mode=cfg["scheme"].get("small_jump_mode"),
+        jump_cutoff=_number(cfg, "scheme", "jump_cutoff"),
     )
 
 
@@ -182,25 +190,17 @@ def _trace_csv(path: str, grid: paths.PathGrid) -> str:
 
 
 def cmd_simulate(cfg, args, p, files):
-    exp = cfg["experiment"]
-    init = tuple(float(v) for v in exp.get("init", (1.0, 1.0)))
-    low = exp.get("low")
-    high = exp.get("high")
-    truncation = exp.get("truncation")
-    scale = max(1.0, *init, float(high or 0.0), float(truncation or 0.0))
+    init = _number(cfg, "experiment", "init", (1.0, 1.0), _floats)
+    low = _number(cfg, "experiment", "low")
+    high = _number(cfg, "experiment", "high")
+    truncation = _number(cfg, "experiment", "truncation")
+    scale = max(1.0, *init, high or 0.0, truncation or 0.0)
     scheme = _resolve_scheme(cfg, p, scale)
     rng = paths.stream(args.seed, 0)
     if truncation is not None:
-        grid = paths.simulate_truncated(p, scheme, float(truncation), init, rng)
+        grid = paths.simulate_truncated(p, scheme, truncation, init, rng)
     else:
-        grid = paths.simulate_cbipc(
-            p,
-            scheme,
-            init,
-            rng,
-            low=float(low) if low is not None else None,
-            high=float(high) if high is not None else None,
-        )
+        grid = paths.simulate_cbipc(p, scheme, init, rng, low=low, high=high)
     files.append(_trace_csv(args.out + "_trace.csv", grid))
     return scheme, {
         "init": list(init),
@@ -211,11 +211,8 @@ def cmd_simulate(cfg, args, p, files):
 
 
 def cmd_couple(cfg, args, p, files):
-    exp = cfg["experiment"]
-    init = tuple(float(v) for v in exp.get("init", (2.0, 0.5, 1.5, 0.2)))
-    with_aux = bool(exp.get("with_aux", False))
-    M = exp.get("M")
-    high = exp.get("high")
+    init = _number(cfg, "experiment", "init", (2.0, 0.5, 1.5, 0.2), _floats)
+    with_aux = bool(cfg["experiment"].get("with_aux", False))
     scale = max(1.0, *init)
     scheme = _resolve_scheme(cfg, p, scale)
     rng = paths.stream(args.seed, 0)
@@ -224,9 +221,9 @@ def cmd_couple(cfg, args, p, files):
         scheme,
         init,
         rng,
-        M=float(M) if M is not None else None,
+        M=_number(cfg, "experiment", "M"),
         with_aux=with_aux,
-        high=float(high) if high is not None else None,
+        high=_number(cfg, "experiment", "high"),
     )
     files.append(_trace_csv(args.out + "_trace.csv", grid))
     return scheme, {
@@ -240,8 +237,8 @@ def cmd_couple(cfg, args, p, files):
 def cmd_drift_check(cfg, args, p, files):
     exp = cfg["experiment"]
     function = exp.get("function", "f")
-    M = float(exp.get("M", 1.0))
-    n_grid = int(exp.get("n_grid", 400))
+    M = _number(cfg, "experiment", "M", 1.0)
+    n_grid = _number(cfg, "experiment", "n_grid", 400, int)
     if function == "w":
         report = lyapunov.certify_exit_barrier(p, M, n_grid=max(n_grid, 16))
         if not report.valid:
@@ -250,7 +247,8 @@ def cmd_drift_check(cfg, args, p, files):
             )
         return None, report.to_dict()
 
-    cert = lyapunov.certify(p, function, M=M, region=exp.get("region"), n_grid=n_grid)
+    region = _number(cfg, "experiment", "region", None, _floats)
+    cert = lyapunov.certify(p, function, M=M, region=region, n_grid=n_grid)
     rows = zip(cert.z_grid, cert.lv)
     files.append(_write_csv(args.out + "_drift.csv", ["z", "LV"], rows))
     if not cert.valid:
@@ -261,22 +259,19 @@ def cmd_drift_check(cfg, args, p, files):
     results = cert.to_dict()
     if cert.t0 is not None:
         # a budget beyond the horizon of the runs it would bound says nothing
-        horizon = _scheme_number(cfg["scheme"], "horizon", 20.0)
+        horizon = _number(cfg, "scheme", "horizon", 20.0)
         results["t0_vacuous"] = cert.t0 > horizon
     return None, results
 
 
 def cmd_hitting(cfg, args, p, files):
     exp = cfg["experiment"]
-    level = float(exp.get("level", 1.0))
+    level = _number(cfg, "experiment", "level", 1.0)
     direction = exp.get("direction", "down")
-    start = exp.get("start", 10.0)
-    n_paths = int(args.paths or exp.get("n_paths", 4096))
-    starts = (
-        np.asarray(exp["starts"], dtype=float)
-        if "starts" in exp
-        else np.full(n_paths, float(start))
-    )
+    n_paths = args.paths or _number(cfg, "experiment", "n_paths", 4096, int)
+    starts = _number(cfg, "experiment", "starts", None, lambda v: np.asarray(v, float))
+    if starts is None:
+        starts = np.full(n_paths, _number(cfg, "experiment", "start", 10.0))
     scale = max(1.0, float(np.max(starts)), level)
     scheme = _resolve_scheme(cfg, p, scale)
     est = ergo.hitting_tail(
@@ -298,18 +293,20 @@ def cmd_hitting(cfg, args, p, files):
 
 
 def cmd_coupling_tail(cfg, args, p, files):
-    exp = cfg["experiment"]
-    inits = exp.get("inits", [[2.0, 0.5, 1.5, 0.2]])
+    inits = _number(
+        cfg, "experiment", "inits", [[2.0, 0.5, 1.5, 0.2]],
+        lambda rows: [_floats(row) for row in rows],
+    )
     if not inits:
         raise InvalidParams("coupling-tail needs at least one init in experiment.inits")
-    n_paths = int(args.paths or exp.get("n_paths", 4096))
-    t_query = exp.get("t_query")
+    n_paths = args.paths or _number(cfg, "experiment", "n_paths", 4096, int)
+    t_query = _number(cfg, "experiment", "t_query")
     scale = max(1.0, max(max(row) for row in inits))
     scheme = _resolve_scheme(cfg, p, scale)
     per_init = []
     max_curve = None
     for j, row in enumerate(inits):
-        x0, xt0, y0, yt0 = (np.full(n_paths, float(v)) for v in row)
+        x0, xt0, y0, yt0 = (np.full(n_paths, v) for v in row)
         ct = ergo.coupling_tail(
             p,
             scheme,
@@ -318,15 +315,13 @@ def cmd_coupling_tail(cfg, args, p, files):
             workers=args.workers,
         )
         entry = {
-            "init": list(map(float, row)),
+            "init": list(row),
             "t_x": ct["t_x"].to_dict(),
             "t_full": ct["t_full"].to_dict(),
             "n_abort": ct["n_abort"],
         }
         if t_query is not None:
-            entry["tv_bound"] = ergo.tv_upper_bound(
-                ct["t_full"], float(t_query), clamp=True
-            )
+            entry["tv_bound"] = ergo.tv_upper_bound(ct["t_full"], t_query, clamp=True)
         per_init.append(entry)
         curve = ct["t_full"].p_hat
         max_curve = curve if max_curve is None else np.maximum(max_curve, curve)
@@ -345,12 +340,11 @@ def cmd_coupling_tail(cfg, args, p, files):
 
 
 def cmd_cir_check(cfg, args, p, files):
-    exp = cfg["experiment"]
-    b = float(exp.get("b", p.b1))
-    gamma = float(exp.get("gamma", p.gamma1))
-    sigma = float(exp.get("sigma", p.sigma1))
-    z1 = float(exp.get("z1", 5.0))
-    n_paths = int(args.paths or exp.get("n_paths", 20000))
+    b = _number(cfg, "experiment", "b", p.b1)
+    gamma = _number(cfg, "experiment", "gamma", p.gamma1)
+    sigma = _number(cfg, "experiment", "sigma", p.sigma1)
+    z1 = _number(cfg, "experiment", "z1", 5.0)
+    n_paths = args.paths or _number(cfg, "experiment", "n_paths", 20000, int)
     scheme = _resolve_scheme(cfg, p, max(1.0, z1))
     exact = ergo.cir_mean_hitting_time(b, gamma, sigma, z1)
     mc = ergo.cir_hitting_sample(
@@ -370,13 +364,9 @@ def cmd_cir_check(cfg, args, p, files):
 
 
 def cmd_comparison_audit(cfg, args, p, files):
-    exp = cfg["experiment"]
-    M = float(exp.get("M", model.m0_heuristic(p)))
-    init = exp.get("init")
-    if init is None:
-        init = [M / 2.0, M / 2.0, 1.0, 0.0]
-    init = tuple(float(v) for v in init)
-    n_paths = int(args.paths or exp.get("n_paths", 2048))
+    M = _number(cfg, "experiment", "M", model.m0_heuristic(p))
+    init = _number(cfg, "experiment", "init", (M / 2.0, M / 2.0, 1.0, 0.0), _floats)
+    n_paths = args.paths or _number(cfg, "experiment", "n_paths", 2048, int)
     # the cutoff must resolve jumps at the Zbar equilibrium, which the
     # dominating process reaches long before the horizon
     scale = max(1.0, *init, 2.0 * M, 4.0 * model.zbar_equilibrium(p, M))
@@ -397,17 +387,17 @@ def cmd_comparison_audit(cfg, args, p, files):
 
 
 def cmd_localize(cfg, args, p, files):
-    exp = cfg["experiment"]
-    M = exp.get("M")
-    n_paths = int(args.paths or exp.get("n_paths", 2000))
-    start_scale = float(exp.get("start_scale", 10.0))
-    M_val = float(M) if M is not None else model.m0_heuristic(p)
-    scheme = _resolve_scheme(cfg, p, max(1.0, start_scale * M_val))
+    n_paths = args.paths or _number(cfg, "experiment", "n_paths", 2000, int)
+    start_scale = _number(cfg, "experiment", "start_scale", 10.0)
+    M = _number(cfg, "experiment", "M")
+    if M is None:
+        M = model.m0_heuristic(p)
+    scheme = _resolve_scheme(cfg, p, max(1.0, start_scale * M))
     report = ergo.localize_report(
         p,
         scheme,
         args.seed,
-        M=M_val,
+        M=M,
         start_scale=start_scale,
         n_paths=n_paths,
         workers=args.workers,

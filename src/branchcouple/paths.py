@@ -1,27 +1,31 @@
 """Path engines for the system, its coupling, and comparison processes.
 
 All engines share one stepping scheme, written once in ``_loop``: Euler
-drift, branching diffusion ``sqrt(2 sigma * state * h) * G``, thinned jumps
-above ``jump_cutoff``, the compensator of the thinned jumps subtracted as
-drift, and the sub-cutoff jumps either dropped (their compensated integral
-has mean zero) or replaced by a Gaussian with the matching variance
-``state * int_0^eps xi^2 n(dxi)``.  States clamp at 0 after each substep.
-Steps subdivide automatically whenever the jump rate or the drift stiffness
-at the current batch maximum would make a single step too coarse.
+drift, branching diffusion with variance ``2 sigma * state * h``, thinned
+jumps above ``jump_cutoff``, the compensator of the thinned jumps subtracted
+as drift, and the sub-cutoff jumps either dropped (their compensated
+integral has mean zero) or replaced by a Gaussian with the matching variance
+``state * int_0^eps xi^2 n(dxi)``.  Both Gaussians scale with the same
+state, so they are drawn as one with variance ``var * state * h``, where
+``var = 2 sigma + int_0^eps xi^2 n(dxi)`` (the second term 0 when the
+sub-cutoff jumps are dropped).  States clamp at 0 after each substep.  Steps
+subdivide automatically whenever the jump rate or the drift stiffness at the
+current batch maximum would make a single step too coarse.
 
 Noise is a white-noise sheet in the mass coordinate.  The consumers of one
-sheet split the mass axis at their sorted levels; each gap between
-consecutive levels carries its own Gaussian and its own thinned jump (at
-most one per gap and substep, with probability ``gap * rate * h``), and a
-consumer receives the sum over the gaps below its level.  Components at
-levels ``u`` and ``v`` thus share the noise below ``min(u, v)`` and receive
-independent noise on the difference, which is the overlap coupling of the
-generator, and a jump in a gap hits every consumer above it.  The system
-runs two one-consumer sheets and the coupled pair two two-consumer sheets.
-The one-dimensional comparison processes consume the second component's
-noise in the difference frame (levels measured above the smaller
-component): a base sheet at ``Yt`` feeds both ``Y`` and ``Yt``, and a
-three-consumer sheet at ``(Y - Yt, Z, Zbar)`` feeds ``Y``, ``Z`` and
+sheet split the mass axis at their sorted levels.  Each gap between
+consecutive levels carries one Gaussian per gap with variance ``var * gap *
+h``, and one uniform per gap that decides the firing and, rescaled, the size
+of its thinned jump (at most one per gap and substep, with probability
+``gap * rate * h``).  A consumer receives the sum over the gaps below its
+level.  Components at levels ``u`` and ``v`` thus share the noise below
+``min(u, v)`` and receive independent noise on the difference, which is the
+overlap coupling of the generator, and a jump in a gap hits every consumer
+above it.  The system runs two one-consumer sheets and the coupled pair two
+two-consumer sheets.  The one-dimensional comparison processes consume the
+second component's noise in the difference frame (levels measured above the
+smaller component): a base sheet at ``Yt`` feeds both ``Y`` and ``Yt``, and
+a three-consumer sheet at ``(Y - Yt, Z, Zbar)`` feeds ``Y``, ``Z`` and
 ``Zbar``.  That pairing keeps the pathwise dominations testable.
 
 A coupled pair glues when its difference either falls below ``meet_tol`` or
@@ -32,7 +36,9 @@ bitwise equal.  The second pair may glue only once the first has.
 Randomness: every path batch owns a counter-based stream keyed by (master
 seed, engine tag + batch index), so Monte Carlo results are bitwise
 independent of the worker count.  A fixed number of variates is drawn per
-substep whatever the events, so paths inside a batch never desynchronize.
+substep whatever the events (per sheet of ``c`` consumers one ``(c, n)``
+standard-normal block and, for a non-zero measure, one ``(c, n)`` uniform
+block), so paths inside a batch never desynchronize.
 """
 
 from __future__ import annotations
@@ -135,25 +141,26 @@ class SimScheme:
 class _Channel:
     """Per-component noise constants at a fixed cutoff."""
 
-    sigma: float
+    var: float  # Gaussian variance per unit state: diffusion and sub-cutoff
     measure: LevyMeasure
     lam: float  # thinned-jump intensity per unit state
     tlm: float  # compensator of the thinned jumps per unit state
-    ar_var: float  # variance of the sub-cutoff Gaussian per unit state
     eps: float
 
     @staticmethod
     def build(sigma: float, measure: LevyMeasure, scheme: SimScheme) -> "_Channel":
         eps = scheme.jump_cutoff
-        lam = float(measure.tail_mass(eps))
-        tlm = float(measure.tail_linear_moment(eps))
-        ar = (
+        small = (
             float(measure.truncated_second_moment(eps))
             if scheme.small_jump_mode == "gaussian"
             else 0.0
         )
         return _Channel(
-            sigma=float(sigma), measure=measure, lam=lam, tlm=tlm, ar_var=ar, eps=eps
+            var=2.0 * float(sigma) + small,
+            measure=measure,
+            lam=float(measure.tail_mass(eps)),
+            tlm=float(measure.tail_linear_moment(eps)),
+            eps=eps,
         )
 
     def sizes(self, u: np.ndarray) -> np.ndarray:
@@ -253,13 +260,14 @@ def _sheet(ch: _Channel, levels: np.ndarray, h: float, rng) -> tuple:
     """Gaussian and jump increments of ``c`` consumers of one noise sheet.
 
     ``levels`` has shape ``(c, n)``.  Each gap between consecutive sorted
-    levels carries its own Gaussian (diffusion plus the sub-cutoff part) and
-    its own thinned jump; a consumer receives the cumulative sum of the gaps
-    up to its level, so consumers at equal levels receive equal increments.
-    The Gaussians are drawn as ``(c, n)`` blocks, then a (fire, size) pair
-    of uniform arrays per gap whether or not anything fires; a zero measure
-    draws no uniforms.  Returns the Gaussian and the jump increments, both of
-    shape ``(c, n)``.
+    levels carries one Gaussian per gap with variance ``var * gap * h``
+    (diffusion plus the sub-cutoff part), and one uniform per gap that
+    decides the firing and, rescaled, the size of its thinned jump.  A
+    consumer receives the cumulative sum of the gaps up to its level, so
+    consumers at equal levels receive equal increments.  The draws are one
+    ``(c, n)`` standard-normal block, then one ``(c, n)`` uniform block
+    whether or not anything fires; a zero measure draws no uniforms.  Returns
+    the Gaussian and the jump increments, both of shape ``(c, n)``.
     """
     c, n = levels.shape
     gaps, rank = levels, None
@@ -279,15 +287,18 @@ def _sheet(ch: _Channel, levels: np.ndarray, h: float, rng) -> tuple:
         # a consumer's rank is the number of consumers strictly below it;
         # as a flat index into the (c, n) gap sums
         rank = sum((levels > lv).astype(np.intp) for lv in levels) * n + np.arange(n)
-    gauss = np.sqrt(2.0 * ch.sigma * gaps * h) * rng.standard_normal((c, n))
-    if ch.ar_var > 0.0:
-        gauss = gauss + np.sqrt(ch.ar_var * gaps * h) * rng.standard_normal((c, n))
+    gauss = np.sqrt(ch.var * gaps * h) * rng.standard_normal((c, n))
     jumps = np.zeros((c, n))
-    for i in range(0 if ch.measure.is_zero else c):
-        fire = rng.random(n) < gaps[i] * ch.lam * h
-        u = rng.random(n)
+    if not ch.measure.is_zero:
+        # u / pr given u < pr is uniform on (0, 1) as long as pr <= 1, which
+        # _substeps keeps at _JUMP_P_BUDGET: every gap is at most the batch
+        # top the substeps were sized from.  The clip at 1 keeps the law of
+        # a path that outgrows that top tenfold within one step.
+        pr = gaps * ch.lam * h
+        u = rng.random((c, n))
+        fire = u < pr
         if np.any(fire):
-            jumps[i, fire] = ch.sizes(u[fire])
+            jumps[fire] = ch.sizes(u[fire] / np.minimum(pr[fire], 1.0))
     return _below(gauss, rank), _below(jumps, rank)
 
 
@@ -363,7 +374,8 @@ def _loop(b: _Batch, rng: np.random.Generator) -> dict:
     for k in range(m):
         if b.S.shape[1] == 0 or not np.any(b.alive):
             break
-        top = [float(np.max(row[b.alive], initial=0.0)) for row in b.S]
+        # exact: dead paths read 0, which the initial 0 already covers
+        top = np.where(b.alive, b.S, 0.0).max(axis=1, initial=0.0).tolist()
         nsub = _substeps(dt, *b.rates(top, k))
         h = dt / nsub
         for j in range(nsub):

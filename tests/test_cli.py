@@ -397,3 +397,23 @@ def test_worker_count_invariance_subprocess(tmp_path):
     csv_a = (tmp_path / "w1_tail.csv").read_bytes()
     csv_b = (tmp_path / "w2_tail.csv").read_bytes()
     assert csv_a == csv_b
+
+
+@pytest.mark.parametrize(
+    "command, experiment, key",
+    [
+        ("drift-check", '{"function":"f","M":"abc"}', "M"),
+        ("drift-check", '{"function":"f","n_grid":"abc"}', "n_grid"),
+        ("drift-check", '{"function":"g","region":["a","b"]}', "region"),
+        ("hitting", '{"level":"abc"}', "level"),
+        ("cir-check", '{"z1":"abc"}', "z1"),
+        ("comparison-audit", '{"M":"abc"}', "M"),
+        ("localize", '{"start_scale":"abc"}', "start_scale"),
+    ],
+    ids=["drift-check-M", "drift-check-n_grid", "drift-check-region", "hitting-level",
+         "cir-check-z1", "comparison-audit-M", "localize-start_scale"],
+)
+def test_non_numeric_experiment_value_exits_2(tmp_path, capsys, command, experiment, key):
+    code, _ = _run(tmp_path, command, "--set", "experiment=" + experiment)
+    assert code == 2
+    assert "experiment key %s must be numeric" % key in capsys.readouterr().err

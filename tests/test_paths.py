@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from branchcouple import paths
 from branchcouple.errors import InvalidParams
@@ -405,3 +406,51 @@ def test_aux_comparison_requires_consistent_start(ref):
             ref, sch, np.array([1.0]), np.array([1.0]), np.array([1.0]),
             np.array([0.5]), seed=1, with_aux=True,
         )
+
+
+def _sheet_measure_and_scheme():
+    m = StableLike(c=1.0, theta=1.5, truncation=10.0)
+    return m, SimScheme(dt=1e-3, horizon=1.0, jump_cutoff=0.5)
+
+
+@pytest.mark.parametrize("zero", [False, True], ids=["stable", "zero-measure"])
+@pytest.mark.parametrize("c", [1, 2, 3])
+def test_sheet_draws_one_normal_and_one_uniform_block(c, zero):
+    m, sch = _sheet_measure_and_scheme()
+    ch = paths._Channel.build(1.0, ZeroMeasure() if zero else m, sch)
+    n = 1000
+    levels = stream(41, c).random((c, n)) * 4.0
+    levels[:, :10] = 2.0  # ties
+    rng, twin = stream(43, c), stream(43, c)
+    _, jumps = paths._sheet(ch, levels, 0.05, rng)
+    assert np.any(jumps > 0.0) != zero
+    twin.standard_normal((c, n))
+    if not zero:
+        twin.random((c, n))
+    assert np.array_equal(rng.random(16), twin.random(16))
+
+
+def test_sheet_gauss_variance_sums_diffusion_and_small_jumps():
+    m, sch = _sheet_measure_and_scheme()
+    sigma, level, h, n = 0.7, 2.0, 1e-3, 200_000
+    ch = paths._Channel.build(sigma, m, sch)
+    g, _ = paths._sheet(ch, np.full((1, n), level), h, stream(47, 0))
+    want = (2.0 * sigma + m.truncated_second_moment(sch.jump_cutoff)) * level * h
+    assert abs(np.var(g) - want) <= 6.0 * want * math.sqrt(2.0 / n)
+
+
+def test_sheet_jump_sizes_follow_the_tail_law():
+    m, sch = _sheet_measure_and_scheme()
+    ch = paths._Channel.build(0.0, m, sch)
+    level, h, n = 2.0, 0.02, 200_000
+    pr = level * ch.lam * h
+    _, j = paths._sheet(ch, np.full((1, n), level), h, stream(53, 0))
+    sizes = j[j > 0.0]
+    assert abs(sizes.size - n * pr) <= 5.0 * math.sqrt(n * pr * (1.0 - pr))
+    eps, top, th = sch.jump_cutoff, m.truncation, m.theta
+    assert np.all((sizes >= eps) & (sizes <= top))
+
+    def cdf(x):
+        return (eps**-th - x**-th) / (eps**-th - top**-th)
+
+    assert stats.kstest(sizes, cdf).pvalue > 1e-3
