@@ -107,12 +107,24 @@ def _number(cfg: dict, section: str, key: str, default=None, kind=float):
         value = default
     try:
         return None if value is None else kind(value)
+    except InvalidParams as exc:
+        raise InvalidParams("%s key %s %s" % (section, key, exc)) from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidParams("%s key %s must be numeric" % (section, key)) from exc
 
 
-def _floats(values) -> tuple:
-    return tuple(float(v) for v in values)
+def _floats(n: int, rows: bool = False):
+    """Converter of ``n`` numbers to a tuple of floats, or with ``rows`` of a
+    list of such rows to a list of tuples."""
+
+    def row(values) -> tuple:
+        values = tuple(float(v) for v in values)
+        if len(values) != n:
+            what = "rows of" if rows else "a list of"
+            raise InvalidParams("must be %s %d numbers" % (what, n))
+        return values
+
+    return (lambda v: [row(r) for r in v]) if rows else row
 
 
 def _resolve_scheme(cfg: dict, p: model.ModelParams, scale_hint: float) -> paths.SimScheme:
@@ -130,20 +142,13 @@ def _resolve_scheme(cfg: dict, p: model.ModelParams, scale_hint: float) -> paths
     )
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return str(obj)
-    return str(obj)
-
-
 def _sanitize(obj):
-    """Replace non-finite floats so the JSON stays loadable everywhere."""
+    """Plain JSON values: arrays as lists, numpy scalars as Python ones, and
+    non-finite floats as strings so the JSON stays loadable everywhere."""
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
@@ -156,7 +161,7 @@ def _sanitize(obj):
 def _write_json(out_prefix: str, payload: dict) -> str:
     path = out_prefix + ".json"
     with open(path, "w") as fh:
-        json.dump(_sanitize(payload), fh, indent=2, default=_json_default)
+        json.dump(_sanitize(payload), fh, indent=2)
         fh.write("\n")
     return path
 
@@ -190,7 +195,7 @@ def _trace_csv(path: str, grid: paths.PathGrid) -> str:
 
 
 def cmd_simulate(cfg, args, p, files):
-    init = _number(cfg, "experiment", "init", (1.0, 1.0), _floats)
+    init = _number(cfg, "experiment", "init", (1.0, 1.0), _floats(2))
     low = _number(cfg, "experiment", "low")
     high = _number(cfg, "experiment", "high")
     truncation = _number(cfg, "experiment", "truncation")
@@ -211,7 +216,7 @@ def cmd_simulate(cfg, args, p, files):
 
 
 def cmd_couple(cfg, args, p, files):
-    init = _number(cfg, "experiment", "init", (2.0, 0.5, 1.5, 0.2), _floats)
+    init = _number(cfg, "experiment", "init", (2.0, 0.5, 1.5, 0.2), _floats(4))
     with_aux = bool(cfg["experiment"].get("with_aux", False))
     scale = max(1.0, *init)
     scheme = _resolve_scheme(cfg, p, scale)
@@ -247,7 +252,7 @@ def cmd_drift_check(cfg, args, p, files):
             )
         return None, report.to_dict()
 
-    region = _number(cfg, "experiment", "region", None, _floats)
+    region = _number(cfg, "experiment", "region", None, _floats(2))
     cert = lyapunov.certify(p, function, M=M, region=region, n_grid=n_grid)
     rows = zip(cert.z_grid, cert.lv)
     files.append(_write_csv(args.out + "_drift.csv", ["z", "LV"], rows))
@@ -294,8 +299,7 @@ def cmd_hitting(cfg, args, p, files):
 
 def cmd_coupling_tail(cfg, args, p, files):
     inits = _number(
-        cfg, "experiment", "inits", [[2.0, 0.5, 1.5, 0.2]],
-        lambda rows: [_floats(row) for row in rows],
+        cfg, "experiment", "inits", [[2.0, 0.5, 1.5, 0.2]], _floats(4, rows=True)
     )
     if not inits:
         raise InvalidParams("coupling-tail needs at least one init in experiment.inits")
@@ -365,7 +369,7 @@ def cmd_cir_check(cfg, args, p, files):
 
 def cmd_comparison_audit(cfg, args, p, files):
     M = _number(cfg, "experiment", "M", model.m0_heuristic(p))
-    init = _number(cfg, "experiment", "init", (M / 2.0, M / 2.0, 1.0, 0.0), _floats)
+    init = _number(cfg, "experiment", "init", (M / 2.0, M / 2.0, 1.0, 0.0), _floats(4))
     n_paths = args.paths or _number(cfg, "experiment", "n_paths", 2048, int)
     # the cutoff must resolve jumps at the Zbar equilibrium, which the
     # dominating process reaches long before the horizon

@@ -8,8 +8,8 @@ Three families are supported:
   optionally truncated above.
 
 Every family exposes closed-form partial moments (second moment below a
-threshold, linear moment and mass above it), inverse-CDF tail sampling, and a
-check of the small-jump lower bound ``int_0^x xi^2 n(dxi) >= C * x**(2-theta)``
+threshold, linear moment and mass above it), the inverse CDF of the tail, and
+a check of the small-jump lower bound ``int_0^x xi^2 n(dxi) >= C * x**(2-theta)``
 on (0, 1] that substitutes for a diffusion term when ``sigma = 0``.
 """
 
@@ -53,9 +53,6 @@ class ZeroMeasure:
         return np.zeros_like(_as_array(x)) if np.ndim(x) else 0.0
 
     def tail_quantile(self, threshold, u):
-        raise ZeroTailMass("the zero measure has no tail above %r" % (threshold,))
-
-    def sample_tail(self, threshold, rng):
         raise ZeroTailMass("the zero measure has no tail above %r" % (threshold,))
 
     def check_lower_bound(self) -> JumpLowerBound:
@@ -105,9 +102,6 @@ class CompoundPoisson:
         u = _as_array(u)
         out = np.full_like(u, self.size)
         return out if out.ndim else float(out)
-
-    def sample_tail(self, threshold, rng):
-        return self.tail_quantile(threshold, 1.0 - rng.random())
 
     def check_lower_bound(self) -> JumpLowerBound:
         # mass is bounded away from 0, so the second moment vanishes below the
@@ -189,10 +183,6 @@ class StableLike:
         with np.errstate(divide="ignore"):
             out = base ** (-1.0 / self.theta)
         return out if out.ndim else float(out)
-
-    def sample_tail(self, threshold, rng):
-        # 1 - random() lies in (0, 1], keeping the quantile finite
-        return self.tail_quantile(threshold, 1.0 - rng.random())
 
     def check_lower_bound(self) -> JumpLowerBound:
         if self.truncation is None or self.truncation >= 1.0:

@@ -44,7 +44,7 @@ block), so paths inside a batch never desynchronize.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from multiprocessing import get_context
 
 import numpy as np
@@ -70,12 +70,6 @@ def stream(seed: int, tag: int = 0) -> np.random.Generator:
         raise InvalidParams("stream seed and tag must be nonnegative")
     key = np.array([seed & (2**64 - 1), tag & (2**64 - 1)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return stream(int(rng), 0)
 
 
 @dataclass(frozen=True)
@@ -172,7 +166,6 @@ class _Channel:
 class PathEvent:
     time: float
     kind: str  # "large_jump" | "glue" | "cap_abort"
-    info: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -191,22 +184,9 @@ class StoppingRecord:
     cap_abort: float | None = None
 
     def to_dict(self) -> dict:
-        def enc(v):
-            if v is None:
-                return None
-            return "censored" if math.isinf(v) else v
-
         return {
-            "horizon": self.horizon,
-            "tau_minus": enc(self.tau_minus),
-            "tau_minus_level": self.tau_minus_level,
-            "tau_plus": enc(self.tau_plus),
-            "tau_plus_level": self.tau_plus_level,
-            "t_x": enc(self.t_x),
-            "t_full": enc(self.t_full),
-            "zeta0": enc(self.zeta0),
-            "zetabar0": enc(self.zetabar0),
-            "cap_abort": enc(self.cap_abort),
+            k: "censored" if v == math.inf and not k.endswith("_level") else v
+            for k, v in asdict(self).items()
         }
 
 
@@ -320,15 +300,17 @@ class _Batch:
     ``S`` holds one row per component.  A sheet is ``(channel, levels,
     rows)``: its consumers sit at ``levels(S)`` (shape ``(c, n)``) and feed
     the component rows ``rows``, one row per consumer or every row from a
-    single consumer.  ``drift(S, k)`` returns one row per component at step
-    ``k``; ``rates(top, k)`` returns the jump rate and the drift stiffness
-    from the per-component maxima over live paths.  Each row is
+    single consumer.  ``drift(S)`` returns one row per component;
+    ``rates(top)`` returns the jump rate and the drift stiffness from the
+    per-component maxima over live paths.  Each row is
     compensated for the thinned jumps of the channel whose sheets feed it.
     ``finals`` names the outputs holding the final state of a row; ``last``
-    keeps the frozen state of the paths compaction dropped.
+    keeps the frozen state of the paths compaction dropped.  ``events`` is
+    the event log, kept only on single-path runs.
     """
 
     ov = None  # projection overshoots of the comparison processes
+    events = None
 
     def __init__(
         self, scheme, S, sheets, drift, rates, rules,
@@ -345,7 +327,6 @@ class _Batch:
         self.idx = np.arange(self.n)  # slot of each working path
         self.last = np.full(S.shape, np.nan)
         self.out: dict = {}
-        self.events: list[PathEvent] = []
 
     def at(self, full: np.ndarray) -> np.ndarray:
         """Entries of a full-size output at the working paths."""
@@ -376,12 +357,12 @@ def _loop(b: _Batch, rng: np.random.Generator) -> dict:
             break
         # exact: dead paths read 0, which the initial 0 already covers
         top = np.where(b.alive, b.S, 0.0).max(axis=1, initial=0.0).tolist()
-        nsub = _substeps(dt, *b.rates(top, k))
+        nsub = _substeps(dt, *b.rates(top))
         h = dt / nsub
         for j in range(nsub):
             t = k * dt + (j + 1) * h
             S, b.was, b.jumps = b.S, b.alive.copy(), []
-            new = S + b.drift(S, k) * h
+            new = S + b.drift(S) * h
             for ch, levels, rows in b.sheets:
                 g, jumps = _sheet(ch, levels(S), h, rng)
                 new[rows] += g
@@ -397,8 +378,8 @@ def _loop(b: _Batch, rng: np.random.Generator) -> dict:
             if np.any(over):
                 abort[b.idx[over]] = t
                 b.alive &= ~over
-                if b.record:
-                    b.events.append(PathEvent(t, "cap_abort", {}))
+                if b.events is not None:
+                    b.events.append(PathEvent(t, "cap_abort"))
         for rule in b.rules:
             rule.step(b, k)
         if b.record:
@@ -412,7 +393,7 @@ def _loop(b: _Batch, rng: np.random.Generator) -> dict:
     for key, row in b.finals:
         b.out[key] = b.final(row)
     if b.record:
-        b.out["rec"], b.out["events"] = rec, b.events
+        b.out["rec"] = rec
     return b.out
 
 
@@ -480,8 +461,8 @@ class _Glue(_Rule):
     ``after`` holds; with ``retire`` a glued path stops at the end of a step.
     """
 
-    def __init__(self, a, c, key, pair, after=None, retire=False):
-        self.a, self.c, self.key, self.pair = a, c, key, pair
+    def __init__(self, a, c, key, after=None, retire=False):
+        self.a, self.c, self.key = a, c, key
         self.after, self.retire = after, retire
 
     def start(self, b):
@@ -493,8 +474,8 @@ class _Glue(_Rule):
         d_new = b.S[self.a] - b.S[self.c]
         tol = b.scheme.meet_tol
         meet = (np.abs(d_new) <= tol) | (d_pre * d_new < 0.0) | (d_new == 0.0)
-        if np.any(self._glue(b, meet, t)) and b.record:
-            b.events.append(PathEvent(t, "glue", {"pair": self.pair}))
+        if np.any(self._glue(b, meet, t)) and b.events is not None:
+            b.events.append(PathEvent(t, "glue"))
 
     def _glue(self, b, meet, t):
         if self.after:
@@ -597,13 +578,11 @@ class _Dynkin(_Rule):
 
 
 class _JumpLog(_Rule):
-    """Records every thinned jump of X and Y as a ``large_jump`` event."""
+    """Records every thinned jump of every sheet as a ``large_jump`` event."""
 
     def sub(self, b, t, h):
-        for name, (jumps,) in zip(("X", "Y"), b.jumps):
-            for i in np.flatnonzero(jumps > 0):
-                info = {"component": name, "size": float(jumps[i])}
-                b.events.append(PathEvent(t, "large_jump", info))
+        for jumps in b.jumps:
+            b.events += [PathEvent(t, "large_jump") for _ in np.flatnonzero(jumps)]
 
 
 class _Dominate(_Rule):
@@ -675,14 +654,14 @@ def _system(p, scheme, truncation, x_only, low, high, retire, record, dynkin, x0
     if not x_only:
         sheets.append((ch2, lambda S: S[1:], slice(1, 2)))
 
-    def drift(S, k):
+    def drift(S):
         x, y = S
         if x_only:
             return np.stack([drift_x(p, x), np.zeros_like(y)])
         xeff = np.minimum(x, truncation) if truncation is not None else x
         return np.stack([drift_x(p, x), drift_y(p, xeff, y, p.gamma2)])
 
-    def rates(top, k):
+    def rates(top):
         mx, my = top
         stiff = p.b1 * mx ** (p.alpha1 - 1.0) + abs(p.a1)
         if not x_only:
@@ -691,8 +670,7 @@ def _system(p, scheme, truncation, x_only, low, high, retire, record, dynkin, x0
             )
         return max(ch1.lam * mx, ch2.lam * my), stiff
 
-    rules = [_JumpLog()] if record else []
-    rules += [
+    rules = [
         _Cross("tau_minus", low, False, retire=retire in ("low", "both")),
         _Cross("tau_plus", high, True, retire=retire in ("high", "both")),
     ]
@@ -730,7 +708,7 @@ def _coupled(p, scheme, M, with_aux, audit, high, record, x0, xt0, y0, yt0):
     else:
         sheets.append((ch2, lambda S: S[2:4], slice(2, 4)))
 
-    def drift(S, k):
+    def drift(S):
         x, xt, y, yt = S[:4]
         d = [drift_x(p, x), drift_x(p, xt), drift_y(p, x, y, p.gamma2)]
         d.append(drift_y(p, xt, yt, p.gamma2))
@@ -738,7 +716,7 @@ def _coupled(p, scheme, M, with_aux, audit, high, record, x0, xt0, y0, yt0):
             d += [drift_y(p, x, S[4], 0.0), zbar_drift(p, M, S[5])]
         return np.stack(d)
 
-    def rates(top, k):
+    def rates(top):
         mx, my = max(top[:2]), max(top[2:])
         s2 = p.b2 * my ** (p.alpha2 - 1.0) + abs(p.a2) + abs(p.k) * mx
         if with_aux:
@@ -749,8 +727,8 @@ def _coupled(p, scheme, M, with_aux, audit, high, record, x0, xt0, y0, yt0):
     # audit, aux and record runs keep every path active, so their full-size
     # outputs stay aligned; only plain meeting-time runs retire met paths
     compact = not (audit or record or with_aux)
-    glue_x = _Glue(0, 1, "t_x", "X")
-    rules = [glue_x, _Glue(2, 3, "t_full", "Y", glue_x, compact)]
+    glue_x = _Glue(0, 1, "t_x")
+    rules = [glue_x, _Glue(2, 3, "t_full", glue_x, compact)]
     rules += [_Dominate()] if with_aux else []
     rules += [_Audit()] if audit else []
     if with_aux:
@@ -766,8 +744,8 @@ def _scalar(scheme, z0, sigma, measure, drift, stiff, stop):
     sheets = [(ch, lambda S: S, slice(0, 1))]
     S = np.array([z0], dtype=float)
 
-    def rates(top, k):
-        return ch.lam * top[0], stiff(top[0], k)
+    def rates(top):
+        return ch.lam * top[0], stiff(top[0])
 
     return _Batch(scheme, S, sheets, drift, rates, [stop])
 
@@ -780,25 +758,8 @@ def _zbar(p, M, scheme, z0):
         z0,
         p.sigma2,
         p.n2,
-        lambda z, k: zbar_drift(p, M, z),
-        lambda mz, k: p.b2 * mz ** (p.alpha2 - 1.0) + abs(lam_bar),
-        _Absorb(0, "hitting", True),
-    )
-
-
-def _zdriver(p, xpath, scheme, z0):
-    """Dominating process along a frozen first-component path ``xpath``."""
-
-    def xk(k):
-        return float(xpath[min(k, len(xpath) - 1)])
-
-    return _scalar(
-        scheme,
-        z0,
-        p.sigma2,
-        p.n2,
-        lambda z, k: drift_y(p, xk(k), z, 0.0),
-        lambda mz, k: p.b2 * mz ** (p.alpha2 - 1.0) + abs(p.a2) + abs(p.k) * xk(k),
+        lambda z: zbar_drift(p, M, z),
+        lambda mz: p.b2 * mz ** (p.alpha2 - 1.0) + abs(lam_bar),
         _Absorb(0, "hitting", True),
     )
 
@@ -810,8 +771,8 @@ def _cir(b, gamma, sigma, level, scheme, z0):
         z0,
         sigma,
         ZeroMeasure(),
-        lambda z, k: -b * z + gamma,
-        lambda mz, k: b,
+        lambda z: -b * z + gamma,
+        lambda mz: b,
         _Bridge(level, sigma),
     )
 
@@ -841,12 +802,8 @@ def _fanout(build, static, arrays, seed, tag_base, workers):
     merged = {}
     for key in results[0]:
         parts = [r[key] for r in results]
-        if isinstance(parts[0], np.ndarray):
-            # recorded grids are (n_steps+1, batch, n_cols); the path axis is 1
-            axis = 1 if parts[0].ndim == 3 else 0
-            merged[key] = np.concatenate(parts, axis=axis)
-        else:
-            merged[key] = [item for part in parts for item in part]
+        # recorded grids are (n_steps+1, batch, n_cols); the path axis is 1
+        merged[key] = np.concatenate(parts, axis=1 if parts[0].ndim == 3 else 0)
     return merged
 
 
@@ -931,26 +888,29 @@ def mc_cir(
 # single-path wrappers
 
 
-def _single(build, static, init, rng) -> dict:
-    rng = _as_rng(rng)
-    return _loop(build(*static, *(np.array([v], dtype=float) for v in init)), rng)
+def _single(build, static, init, rng, *rules) -> dict:
+    """Runs one path from ``init`` with its event log; ``rules`` go first."""
+    b = build(*static, *(np.array([v], dtype=float) for v in init))
+    b.rules, b.events = [*rules, *b.rules], []
+    out = _loop(b, rng)
+    out["events"] = b.events
+    return out
 
 
 def _grid(scheme, out, states, **stops) -> PathGrid:
     abort = float(out["abort"][0])
     cap_abort = abort if math.isfinite(abort) else None
     return PathGrid(
-        times=np.arange(scheme.n_steps + 1) * scheme.dt if states else np.array([0.0]),
+        times=np.arange(scheme.n_steps + 1) * scheme.dt,
         states=states,
-        events=out.get("events", []),
+        events=out["events"],
         stopping=StoppingRecord(horizon=scheme.horizon, cap_abort=cap_abort, **stops),
     )
 
 
 def _system_grid(p, scheme, init, rng, truncation, low, high) -> PathGrid:
-    out = _single(
-        _system, (p, scheme, truncation, False, low, high, None, True, None), init, rng
-    )
+    static = (p, scheme, truncation, False, low, high, None, True, None)
+    out = _single(_system, static, init, rng, _JumpLog())
     rec = out["rec"][:, 0]
     return _grid(
         scheme,
@@ -967,7 +927,7 @@ def simulate_cbipc(
     p: ModelParams,
     scheme: SimScheme,
     init: tuple[float, float],
-    rng,
+    rng: np.random.Generator,
     *,
     low: float | None = None,
     high: float | None = None,
@@ -981,7 +941,7 @@ def simulate_truncated(
     scheme: SimScheme,
     N: float,
     init: tuple[float, float],
-    rng,
+    rng: np.random.Generator,
 ) -> PathGrid:
     """Path of the N-truncated system: predation driven by min(X, N).
 
@@ -995,7 +955,7 @@ def simulate_coupled(
     p: ModelParams,
     scheme: SimScheme,
     init: tuple[float, float, float, float],
-    rng,
+    rng: np.random.Generator,
     *,
     M: float | None = None,
     with_aux: bool = False,
@@ -1014,28 +974,3 @@ def simulate_coupled(
         tau_plus_level=high,
         **stops,
     )
-
-
-def simulate_aux_Zbar(
-    p: ModelParams, scheme: SimScheme, M: float, z0: float, rng
-) -> PathGrid:
-    """Dominating frozen process; only the absorption time is recorded."""
-    out = _single(_zbar, (p, M, scheme), (z0,), rng)
-    return _grid(scheme, out, {}, zetabar0=float(out["hitting"][0]))
-
-
-def simulate_aux_Z(
-    p: ModelParams, scheme: SimScheme, driver: PathGrid, z0: float, rng
-) -> PathGrid:
-    """Dominating process along a frozen X driver path."""
-    xpath = np.asarray(driver.states["X"], dtype=float)
-    out = _single(_zdriver, (p, xpath, scheme), (z0,), rng)
-    return _grid(scheme, out, {}, zeta0=float(out["hitting"][0]))
-
-
-def simulate_cir(
-    b: float, gamma: float, sigma: float, scheme: SimScheme, x0: float, rng
-) -> PathGrid:
-    """Mean-reverting branching diffusion; records the passage below 1."""
-    out = _single(_cir, (b, gamma, sigma, 1.0, scheme), (x0,), rng)
-    return _grid(scheme, out, {}, zeta0=float(out["hitting"][0]))

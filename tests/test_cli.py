@@ -417,3 +417,22 @@ def test_non_numeric_experiment_value_exits_2(tmp_path, capsys, command, experim
     code, _ = _run(tmp_path, command, "--set", "experiment=" + experiment)
     assert code == 2
     assert "experiment key %s must be numeric" % key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, experiment, key",
+    [
+        ("couple", '{"init":[1,2]}', "init"),
+        ("simulate", '{"init":[1,2,3]}', "init"),
+        ("coupling-tail", '{"inits":[[1,2,3]]}', "inits"),
+        ("comparison-audit", '{"init":[1,2]}', "init"),
+        ("drift-check", '{"region":[1]}', "region"),
+        ("drift-check", '{"region":[1,2,3]}', "region"),
+    ],
+    ids=["couple-init", "simulate-init", "coupling-tail-inits", "comparison-audit-init",
+         "drift-check-region-1", "drift-check-region-3"],
+)
+def test_wrong_vector_length_exits_2(tmp_path, capsys, command, experiment, key):
+    code, _ = _run(tmp_path, command, "--set", "experiment=" + experiment)
+    assert code == 2
+    assert "experiment key %s must be" % key in capsys.readouterr().err

@@ -18,10 +18,7 @@ from branchcouple.paths import (
     mc_coupled,
     mc_system,
     mc_zbar,
-    simulate_aux_Z,
-    simulate_aux_Zbar,
     simulate_cbipc,
-    simulate_cir,
     simulate_coupled,
     simulate_truncated,
     stream,
@@ -139,6 +136,17 @@ def test_coupled_glue_from_identical_start(ref):
     assert grid.stopping.t_full == 0.0
     assert np.array_equal(grid.states["X"], grid.states["Xt"])
     assert np.array_equal(grid.states["Y"], grid.states["Yt"])
+
+
+def test_single_coupled_path_logs_one_glue_per_pair(ref):
+    sch = SimScheme.auto(ref, 1e-3, 8.0, scale=10.0)
+    grid = simulate_coupled(ref, sch, (4.0, 1.0, 2.0, 0.2), stream(14, 0))
+    st = grid.stopping
+    assert 0.0 < st.t_x <= st.t_full < math.inf
+    assert [ev.time for ev in grid.events if ev.kind == "glue"] == [st.t_x, st.t_full]
+    # batched runs keep no event log
+    out = mc_system(ref, sch, np.ones(3), np.ones(3), seed=3, record=True)
+    assert "events" not in out
 
 
 def test_coupled_paths_merge_and_stay_merged(ref):
@@ -334,18 +342,9 @@ def test_single_path_stopping_and_trace(ref):
 
 def test_aux_dominating_processes(ref):
     sch = SimScheme(dt=2e-3, horizon=200.0, jump_cutoff=2.0, meet_tol=1e-3)
-    g = simulate_aux_Zbar(ref, sch, 1.0, 2.0, stream(6, 0))
-    assert g.stopping.zetabar0 is not None
-    assert g.stopping.zetabar0 > 0.0
-    assert math.isfinite(g.stopping.zetabar0)
-    g0 = simulate_aux_Zbar(ref, sch, 1.0, 1e-4, stream(6, 1))
-    assert g0.stopping.zetabar0 == 0.0
-
-    sch_short = SimScheme.auto(ref, 1e-3, 2.0, scale=10.0)
-    driver = simulate_cbipc(ref, sch_short, (1.0, 1.0), stream(8, 0))
-    gz = simulate_aux_Z(ref, sch_short, driver, 0.5, stream(8, 1))
-    z_time = gz.stopping.zeta0
-    assert z_time == 0.0 or z_time > 0.0  # recorded, possibly censored (inf)
+    hit = mc_zbar(ref, sch, 1.0, [2.0, 1e-4], seed=6)["hitting"]
+    assert 0.0 < hit[0] < math.inf
+    assert hit[1] == 0.0  # a start at or below meet_tol is absorbed at once
 
 
 def test_zbar_dominates_z_under_negative_predation():
@@ -376,10 +375,9 @@ def test_cir_bridge_mean_hits_logarithm():
 
 def test_single_cir_and_zbar_wrappers(ref):
     sch = SimScheme(dt=2e-3, horizon=60.0, jump_cutoff=1.0)
-    g = simulate_cir(1.0, 1.0, 1.0, sch, 3.0, stream(9, 0))
-    assert g.stopping.zeta0 > 0.0
-    g2 = simulate_cir(1.0, 1.0, 1.0, sch, 0.5, stream(9, 1))
-    assert g2.stopping.zeta0 == 0.0
+    hit = mc_cir(1.0, 1.0, 1.0, sch, [3.0, 0.5], seed=9)["hitting"]
+    assert hit[0] > 0.0
+    assert hit[1] == 0.0  # a start below the level passes at once
 
 
 def test_zbar_batch_matches_single(ref):
